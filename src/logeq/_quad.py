@@ -28,35 +28,37 @@ def gl_map(a: float, b: float, order: int):
     return 0.5 * (a + b) + half * x, half * w
 
 
-def geometric_breaks(a: float, b: float, toward: float, n_panels: int = 34,
-                     ratio: float = 0.5):
+def geometric_breaks(a, b, toward, n_panels=34, ratio: float = 0.5):
     """Panel breakpoints on [a, b] shrinking geometrically toward one endpoint.
 
     `toward` must equal `a` or `b`.  The innermost panel has width
     (b - a) * ratio**n_panels; with the default 34 halvings a logarithmic
     endpoint contributes only ~1e-11 absolute error under a modest rule.
+
+    All four arguments may be arrays of one broadcast shape S, giving
+    S + (max(n_panels) + 2,) breaks: a row with fewer panels is padded with
+    zero-width (zero-weight) panels at its `toward` end.
     """
-    d = b - a
-    offs = d * ratio ** np.arange(n_panels, -1, -1, dtype=float)
-    if toward == a:
-        return np.concatenate(([a], a + offs))
-    if toward == b:
-        return np.concatenate((b - offs[::-1], [b]))
-    raise ValueError("`toward` must be an endpoint of [a, b]")
+    a, b, toward, n = np.broadcast_arrays(
+        *(np.asarray(v, float) for v in (a, b, toward, n_panels)))
+    at_a = toward == a
+    if not np.all(at_a | (toward == b)):
+        raise ValueError("`toward` must be an endpoint of [a, b]")
+    k = np.arange(np.max(n), -1, -1)
+    offs = np.where(k > n[..., None], 0.0, (b - a)[..., None] * ratio ** k)
+    a, b = a[..., None], b[..., None]
+    return np.where(at_a[..., None], np.concatenate((a, a + offs), axis=-1),
+                    np.concatenate((b - offs[..., ::-1], b), axis=-1))
 
 
 def composite_nodes(breaks, order: int):
-    """Stacked GL nodes/weights for the consecutive panels in `breaks`."""
-    xs = []
-    ws = []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        x, w = gl_map(lo, hi, order)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    """Stacked GL nodes/weights for the consecutive panels in `breaks`.
 
-
-def integrate(f, breaks, order: int = 16):
-    """Integrate a vectorized callable over the panels given by `breaks`."""
-    x, w = composite_nodes(np.asarray(breaks, float), order)
-    return np.sum(w * f(x))
+    Breaks of shape S + (P + 1,) give nodes and weights of shape
+    S + (P * order,), equal to those of `gl_map` panel by panel."""
+    breaks = np.asarray(breaks, float)
+    x, w = gl_rule(order)
+    lo, hi = breaks[..., :-1, None], breaks[..., 1:, None]
+    half = 0.5 * (hi - lo)
+    shape = breaks.shape[:-1] + (-1,)
+    return (0.5 * (lo + hi) + half * x).reshape(shape), (half * w).reshape(shape)

@@ -36,6 +36,12 @@ TAU_CRITICAL = 2.0 / (math.pi - 2.0)
 # than silently resolved to one side.
 ON_CUT_TOL = 1e-13
 
+# From this modulus on the Cauchy transform is taken as 1/z, good to 1e-12:
+# the next term of z C(z) = 1 + m2/z^2 + ... is at most 1/|z|^2 since
+# m2 <= 1.  The closed forms lose about |tau| |z| ulps to cancellation
+# between their logarithms (1e-9 at |z| = 1e6 for tau = 2), more already.
+FAR_FIELD = 1e6
+
 
 class Regime(enum.Enum):
     ATTRACTIVE = "attractive"
@@ -116,15 +122,15 @@ def beta_series_guess(tau: float) -> float:
     return min(max(guess, 1e-12), 1.0 - 1e-12)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def solve_beta_repulsive(tau: float) -> float:
     """Endpoint beta of the two-cut support: the root of E(beta) = 1 + 1/tau.
 
     E is strictly decreasing on [0, 1], so the root is unique.  A bracketed
     safeguarded solver is started around the series guess; the bracket is
     widened to (0, 1) if the guess window does not straddle the root.
-    Memoized per tau (pure function; concurrent duplicate inserts are
-    idempotent).
+    Memoized for the 1024 most recent taus (pure function; concurrent
+    duplicate inserts are idempotent).
     """
     if classify_regime(tau) is not Regime.REPULSIVE:
         raise DomainError(f"solve_beta_repulsive requires tau > {TAU_CRITICAL}, got {tau!r}")
@@ -141,13 +147,22 @@ def solve_beta_repulsive(tau: float) -> float:
     return float(brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
 
 
+def _attractive_kc(tau: float) -> float:
+    """Complementary endpoint sqrt(1 - beta^2) = (1 + tau)/tau of the one cut.
+
+    Formed from tau directly: 1 - beta*beta cancels to 0 as tau -> -1,
+    where beta rounds to 1 well before tau reaches the boundary.
+    """
+    return (1.0 + tau) / tau
+
+
 def support(tau: float) -> Support:
     """Support of the equilibrium measure at tau."""
     regime = classify_regime(tau)
     if regime is Regime.INTERMEDIATE:
         return Support(SupportShape.FULL_INTERVAL, 1.0)
     if regime is Regime.ATTRACTIVE:
-        beta = math.sqrt(1.0 - ((1.0 + tau) / tau) ** 2)
+        beta = math.sqrt(1.0 - _attractive_kc(tau) ** 2)
         return Support(SupportShape.ONE_CUT, beta)
     return Support(SupportShape.TWO_CUT, solve_beta_repulsive(tau))
 
@@ -208,6 +223,13 @@ def ratio_root(z, beta: float):
     """
     z = np.asarray(z, dtype=complex)
     return _descalar(_sqrt_cut_arr(z, beta) / _sqrt_cut_arr(z, 1.0))
+
+
+def _finite_point(z, what: str) -> complex:
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"{what} needs a finite point, got z={z!r}")
+    return z
 
 
 def _reject_on_cut(z: complex, sup: Support, what: str) -> None:
@@ -311,7 +333,7 @@ def density(tau: float, x):
         # pi/2 - arctan(sqrt((1-b^2)/(b^2-x^2))) rewritten through the
         # complementary arctangent: no cancellation at the soft edges.
         vals = (-tau / math.pi) * np.arctan(
-            np.sqrt((beta * beta - arr * arr) / (1.0 - beta * beta)))
+            np.sqrt((beta * beta - arr * arr) / _attractive_kc(tau) ** 2))
     else:
         a = np.sqrt(1.0 - arr * arr)
         vals = (tau / math.pi) * np.abs(arr) * np.sqrt(
@@ -338,7 +360,7 @@ def _density_offset(tau: float, edge: float, off):
         return (1.0 + tau) / (math.pi * np.sqrt(one_minus)) - 0.5 * tau
     if regime is Regime.ATTRACTIVE:
         gap = off * (2.0 * beta - off)
-        return (-tau / math.pi) * np.arctan(np.sqrt(gap / (1.0 - beta * beta)))
+        return (-tau / math.pi) * np.arctan(np.sqrt(gap / _attractive_kc(tau) ** 2))
     if abs(edge) == 1.0:
         absx = 1.0 - off
         one_minus = off * (2.0 - off)
@@ -373,7 +395,7 @@ def edge_coefficient(tau: float, edge: str) -> float:
     if regime is Regime.ATTRACTIVE:
         if edge != "soft":
             raise DomainError("attractive regime has only soft edges at +-beta")
-        return (-tau / math.pi) / math.sqrt(1.0 - beta * beta)
+        return (-tau / math.pi) / _attractive_kc(tau)
     if edge == "hard":
         return (tau / math.pi) * complete_K(beta) * math.sqrt(1.0 - beta * beta)
     if edge == "soft":
@@ -394,7 +416,7 @@ def _cauchy_intermediate(tau: float, z: complex) -> complex:
 
 
 def _cauchy_attractive(tau: float, beta: float, z: complex) -> complex:
-    s = math.sqrt(1.0 - beta * beta)
+    s = _attractive_kc(tau)
     r = sqrt_cut(z, beta)
     # The two expressions are identical; each is cancellation-free on its
     # half-plane (r + s degenerates near z = -1, r - s near z = +1).
@@ -438,12 +460,15 @@ def _cauchy_repulsive(tau: float, beta: float, z: complex) -> complex:
 def cauchy(tau: float, z) -> complex:
     """Cauchy transform ∫ dμ(x)/(z - x) of the equilibrium measure.
 
-    Defined off the support; points within 1e-13 of a cut are rejected.
-    Behaves like 1/z at infinity and maps conjugates to conjugates.
+    Defined at finite points off the support; points within 1e-13 of a cut
+    are rejected.  Behaves like 1/z at infinity (and is 1/z from
+    |z| >= FAR_FIELD on) and maps conjugates to conjugates.
     """
-    z = complex(z)
+    z = _finite_point(z, "cauchy transform")
     sup = support(tau)
     _reject_on_cut(z, sup, "cauchy transform")
+    if abs(z) >= FAR_FIELD:
+        return 1.0 / z
     regime = classify_regime(tau)
     if regime is Regime.INTERMEDIATE:
         return _cauchy_intermediate(tau, z)
@@ -472,7 +497,7 @@ def g_function(tau: float, z) -> complex:
         return (1.0 + tau) * cmath.log(0.5 * phi_joukowski(z)) - tau * lebesgue_g(z)
     if regime is Regime.ATTRACTIVE:
         beta = sup.beta
-        s = math.sqrt(1.0 - beta * beta)
+        s = _attractive_kc(tau)
         c = _cauchy_attractive(tau, beta, z)
         r = sqrt_cut(z, beta)
         return (z * c
@@ -487,9 +512,9 @@ def potential(tau: float, z) -> float:
 
     On the support the closed interval formula applies; elsewhere the
     potential is -Re g.  The repulsive regime has no closed form anywhere
-    and delegates to the quadrature oracle.
+    and delegates to the quadrature oracle.  z must be finite.
     """
-    z = complex(z)
+    z = _finite_point(z, "potential")
     regime = classify_regime(tau)
     if regime is Regime.REPULSIVE:
         from .oracle import potential_quad
@@ -502,7 +527,7 @@ def potential(tau: float, z) -> float:
     return -g_function(tau, z).real
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _omega_repulsive(tau: float) -> float:
     from .series import omega_integral, omega_series
     series_val = omega_series(tau, 1e-12).value
@@ -528,7 +553,7 @@ def omega(tau: float) -> float:
     if regime is Regime.ATTRACTIVE:
         beta = support(tau).beta
         return ((1.0 + tau) * math.log(2.0) - math.log(beta) + 1.0 + tau
-                - tau * math.log(1.0 + math.sqrt(1.0 - beta * beta)))
+                - tau * math.log(1.0 + _attractive_kc(tau)))
     return _omega_repulsive(tau)
 
 

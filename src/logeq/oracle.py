@@ -124,20 +124,42 @@ def pv_integral(kernel: str, beta: float, x: float) -> float:
 # Quadrature of the equilibrium measure
 # ---------------------------------------------------------------------------
 
-def _repulsive_piece_nodes(beta: float, order: int):
-    """Nodes/weights covering [beta, 1] with both edge behaviors absorbed.
+# Edge-rule breaks for span 1: times a span, geometric_breaks' floats for it.
+_EDGE_BREAKS = geometric_breaks(0.0, 1.0, toward=0.0, n_panels=20)
+_EDGE_BREAKS.flags.writeable = False
 
-    The soft edge takes x = beta + t^2 and the hard edge x = cos(phi); the
-    piece is split at its midpoint.
-    """
-    m = 0.5 * (beta + 1.0)
-    t, wt = gl_map(0.0, math.sqrt(m - beta), order)
-    x_soft = beta + t * t
-    w_soft = 2.0 * t * wt
-    phi, wp = gl_map(0.0, math.acos(m), order)
-    x_hard = np.cos(phi)
-    w_hard = np.sin(phi) * wp
-    return np.concatenate([x_soft, x_hard]), np.concatenate([w_soft, w_hard])
+# Points per chunk of potential_quad, so its node arrays stay small.
+_Z_CHUNK = 16
+
+
+def _edge_segment(edge: float, inner):
+    """Quadrature between a support edge and interior points (one row of
+    nodes per point of `inner`), in the edge variable t with x = edge + s t^2,
+    returned as (off, s, w) where off = t^2.  The offset is handed back
+    instead of the abscissa so density and kernel values can be formed from
+    it directly; building x first would round the offset away near the edge
+    and lose the sliver there (which carries ~sqrt(off) of mass)."""
+    inner = np.asarray(inner, float)
+    s = np.where(inner > edge, 1.0, -1.0)[..., None]
+    span = np.sqrt(np.abs(inner - edge))
+    t, wt = composite_nodes(span[..., None] * _EDGE_BREAKS, 16)
+    return t * t, s, 2.0 * t * wt
+
+
+def _log_segment(x_star, other):
+    """Nodes on [x_star, other] (either order; one row per pair) refined
+    toward x_star, where the integrand carries the log(1/|z - x|)
+    near-singularity.
+
+    The refinement depth adapts to each segment so the innermost nodes stay
+    representably distinct from x_star; for the very short segments that
+    arise when z sits within ~1e-10 of a support edge the panels would
+    otherwise shrink below the floating-point grid."""
+    lo, hi = np.minimum(x_star, other), np.maximum(x_star, other)
+    floor = 4096.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(x_star))
+    depth = np.log2(np.maximum(hi - lo, 2.0 * floor) / floor).astype(int)
+    breaks = geometric_breaks(lo, hi, toward=x_star, n_panels=np.minimum(34, depth))
+    return composite_nodes(breaks, 16)
 
 
 def measure_quadrature(tau: float, f=None) -> complex | float:
@@ -146,8 +168,8 @@ def measure_quadrature(tau: float, f=None) -> complex | float:
     f is a vectorized callable of a real ndarray (default: constant 1, so
     the result is the total mass).  Substitutions absorb the edge behavior
     of the density: x = beta sin(theta) on the attractive cut,
-    x = cos(phi) on the full interval, and the split described in
-    _repulsive_piece_nodes on each repulsive piece.
+    x = cos(phi) on the full interval, and on each repulsive piece the
+    edge segments of potential_quad, split at the midpoint.
     """
     regime = classify_regime(tau)
     beta = support(tau).beta
@@ -166,9 +188,11 @@ def measure_quadrature(tau: float, f=None) -> complex | float:
         # density * jacobian = (1+tau)/pi - (tau/2) sin(phi): no edge blowup
         total = np.sum(w * f(x) * ((1.0 + tau) / math.pi - 0.5 * tau * np.sin(phi)))
     else:
-        x, w = _repulsive_piece_nodes(beta, 96)
-        rho = density(tau, x)
-        total = np.sum(w * f(x) * rho) + np.sum(w * f(-x) * rho)
+        total = 0.0
+        for edge in (beta, 1.0):
+            off, s, w = _edge_segment(edge, 0.5 * (beta + 1.0))
+            x, rho = edge + s * off, _density_offset(tau, edge, off)
+            total += np.sum(w * f(x) * rho) + np.sum(w * f(-x) * rho)
     total = complex(total)
     return total if total.imag != 0.0 else total.real
 
@@ -177,85 +201,54 @@ def measure_quadrature(tau: float, f=None) -> complex | float:
 # Potential by quadrature
 # ---------------------------------------------------------------------------
 
-def _edge_types(sup: Support) -> list[tuple[float, float, str, str]]:
-    """Support pieces annotated with (left, right) edge softness."""
-    if sup.shape is SupportShape.FULL_INTERVAL:
-        return [(-1.0, 1.0, "hard", "hard")]
-    if sup.shape is SupportShape.ONE_CUT:
-        return [(-sup.beta, sup.beta, "soft", "soft")]
-    return [(-1.0, -sup.beta, "hard", "soft"), (sup.beta, 1.0, "soft", "hard")]
-
-
-def _edge_segment(edge: float, inner: float):
-    """Quadrature on the sub-interval between a support edge and an interior
-    point, in the edge variable t with x = edge + s t^2, returned as
-    (off, s, w) where off = t^2.  The offset is handed back instead of the
-    abscissa so density and kernel values can be formed from it directly;
-    building x first would round the offset away near the edge and lose
-    the sliver there (which carries ~sqrt(off) of mass)."""
-    s = 1.0 if inner > edge else -1.0
-    span = math.sqrt(abs(inner - edge))
-    breaks = geometric_breaks(0.0, span, toward=0.0, n_panels=20)
-    t, wt = composite_nodes(breaks, 16)
-    return t * t, s, 2.0 * t * wt
-
-
-def _log_segment(x_star: float, other: float):
-    """Nodes on [x_star, other] (either order) refined toward x_star, where
-    the integrand carries the log(1/|z - x|) near-singularity.
-
-    The refinement depth adapts to the segment so the innermost nodes stay
-    representably distinct from x_star; for the very short segments that
-    arise when z sits within ~1e-10 of a support edge the panels would
-    otherwise shrink below the floating-point grid."""
-    lo, hi = min(x_star, other), max(x_star, other)
-    span = hi - lo
-    floor = 4096.0 * np.finfo(float).eps * max(1.0, abs(x_star))
-    if span <= 2.0 * floor:
-        n_panels = 1
-    else:
-        n_panels = min(34, max(1, int(math.log2(span / floor))))
-    breaks = geometric_breaks(lo, hi, toward=x_star, n_panels=n_panels)
-    return composite_nodes(breaks, 16)
-
-
-def potential_quad(tau: float, z) -> float:
-    """Logarithmic potential of the equilibrium measure, by quadrature only.
-
-    Splits each support piece at the projection of z when that falls
-    inside (the integrable log singularity), applies square-root
-    substitutions at the edges, and refines panels geometrically toward
-    both kinds of difficulty.  Accuracy ~1e-9 against a 1e-7 contract.
-    Works in every regime; this is the verification route for the closed
-    forms (and the only potential route in the repulsive regime).
-    """
-    z = complex(z)
-    sup = support(tau)
-    total = 0.0
-    for lo, hi, _e_l, _e_r in _edge_types(sup):
-        log_segs = []
-        if lo < z.real < hi:
-            x_star = z.real
-            m_l = 0.5 * (lo + x_star)
-            m_r = 0.5 * (x_star + hi)
-            edge_segs = [(lo, m_l), (hi, m_r)]
-            log_segs.append(_log_segment(x_star, m_l))
-            log_segs.append(_log_segment(x_star, m_r))
-        else:
-            mid = 0.5 * (lo + hi)
-            edge_segs = [(lo, mid), (hi, mid)]
-        for edge, inner in edge_segs:
+def _log_kernel_sums(tau: float, sup: Support, z: np.ndarray) -> np.ndarray:
+    """Quadrature of log|z - x| against the measure, for each point of z (1-D)."""
+    total = np.zeros(z.shape)
+    x_re, zc = z.real, z[:, None]
+    for lo, hi in sup.pieces:
+        inside = (lo < x_re) & (x_re < hi)
+        mid = 0.5 * (lo + hi)
+        m_l = np.where(inside, 0.5 * (lo + x_re), mid)
+        m_r = np.where(inside, 0.5 * (x_re + hi), mid)
+        for edge, inner in ((lo, m_l), (hi, m_r)):
             off, s, w = _edge_segment(edge, inner)
             rho = _density_offset(tau, edge, off)
-            total += np.sum(w * rho * np.log(np.abs((z - edge) - s * off)))
-        for x, w in log_segs:
-            # Flooring the distance at a couple of ulps only matters when a
-            # node rounds onto z itself; the true contribution of that node's
-            # panel is below the floor's error.
-            d = np.maximum(np.abs(z - x),
-                           2.0 * np.finfo(float).eps * max(1.0, abs(z)))
-            total += np.sum(w * density(tau, x) * np.log(d))
-    return float(-total)
+            total += np.sum(w * rho * np.log(np.abs((zc - edge) - s * off)), axis=-1)
+        if not np.any(inside):
+            continue
+        zi, x_star = zc[inside], x_re[inside]
+        # Flooring the distance at a couple of ulps only matters when a
+        # node rounds onto z itself; the true contribution of that node's
+        # panel is below the floor's error.
+        floor = 2.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(zi))
+        for other in (m_l[inside], m_r[inside]):
+            x, w = _log_segment(x_star, other)
+            d = np.maximum(np.abs(zi - x), floor)
+            total[inside] += np.sum(w * density(tau, x) * np.log(d), axis=-1)
+    return total
+
+
+def potential_quad(tau: float, z):
+    """Logarithmic potential of the equilibrium measure, by quadrature only.
+
+    z is a finite point (giving a float) or an array of them (giving an
+    array of its shape).  Splits each support piece at the projection of z
+    when that falls inside (the integrable log singularity), applies
+    square-root substitutions at the edges, and refines panels
+    geometrically toward both kinds of difficulty.  Accuracy ~1e-9 against
+    a 1e-7 contract.  Works in every regime; this is the verification route
+    for the closed forms (and the only potential route in the repulsive
+    regime).
+    """
+    z = np.asarray(z, dtype=complex)
+    bad = z[~np.isfinite(z)]
+    if bad.size:
+        raise DomainError(f"potential_quad needs finite points, got z={complex(bad[0])!r}")
+    sup, flat = support(tau), z.ravel()
+    out = np.empty(flat.shape)
+    for i in range(0, flat.size, _Z_CHUNK):
+        out[i:i + _Z_CHUNK] = -_log_kernel_sums(tau, sup, flat[i:i + _Z_CHUNK])
+    return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -424,22 +417,26 @@ def discrete_minimize(tau: float, n_nodes: int, max_iters: int) -> DiscreteSolut
 # Full verification sweep
 # ---------------------------------------------------------------------------
 
+# Offsets of the boundary values in _sp_density, in units of its scale h,
+# and the weights of the quadratic extrapolation from them to eps = 0.
+_SP_EPS = (1e-3, 1e-4, 1e-5)
+_SP_WEIGHTS = tuple(math.prod((0.0 - e) / (e_i - e) for e in _SP_EPS if e != e_i)
+                    for e_i in _SP_EPS)
+
+
 def _sp_density(tau: float, x: float) -> float:
     """Density recovered from one-sided Cauchy boundary values.
 
-    Evaluates -Im C(x + i eps)/pi on eps = 1e-3, 1e-4, 1e-5 and removes
-    the eps dependence by quadratic extrapolation to eps = 0.
+    Evaluates -Im C(x + i eps)/pi on eps = (1e-3, 1e-4, 1e-5) h and removes
+    the eps dependence by quadratic extrapolation to eps = 0.  The scale
+    h = min(1, w/2) follows the width w of the support piece holding x:
+    fixed offsets reach past the range where the quadratic model holds
+    once the pieces get narrow (two-cut tau above ~8.7, one-cut tau near
+    -1e8).
     """
-    eps = (1e-3, 1e-4, 1e-5)
-    vals = [-cauchy(tau, complex(x, e)).imag / math.pi for e in eps]
-    out = 0.0
-    for i in range(3):
-        li = 1.0
-        for m in range(3):
-            if m != i:
-                li *= (0.0 - eps[m]) / (eps[i] - eps[m])
-        out += li * vals[i]
-    return out
+    h = min(1.0, 0.5 * next(hi - lo for lo, hi in support(tau).pieces if lo < x < hi))
+    vals = [-cauchy(tau, complex(x, e * h)).imag / math.pi for e in _SP_EPS]
+    return sum(li * v for li, v in zip(_SP_WEIGHTS, vals))
 
 
 def _support_grid(sup: Support, n_total: int, inset_frac: float) -> np.ndarray:
@@ -484,8 +481,8 @@ def verify(tau: float) -> VerificationReport:
     try:
         w = omega(tau)
         xs = _support_grid(sup, 200, 1e-3)
-        flatness_error = max(
-            abs(potential_quad(tau, x) + external_field(tau, x) - w) for x in xs)
+        field = [external_field(tau, x) for x in xs]
+        flatness_error = np.max(np.abs(potential_quad(tau, xs) + field - w))
     except Exception:
         flatness_error = math.inf
 
@@ -495,8 +492,8 @@ def verify(tau: float) -> VerificationReport:
         else:
             w = omega(tau)
             xs = _gap_grid(tau, sup, 200)
-            inequality_margin = min(
-                potential_quad(tau, x) + external_field(tau, x) - w for x in xs)
+            field = [external_field(tau, x) for x in xs]
+            inequality_margin = np.min(potential_quad(tau, xs) + field - w)
     except Exception:
         inequality_margin = -math.inf
 

@@ -182,6 +182,11 @@ def complete_Pi(n: float, k: float) -> float:
 # The two-parameter kernel integral
 # ---------------------------------------------------------------------------
 
+# Points x theta nodes per block of integral_I: its temporaries stay near
+# 256 KiB (in cache, and flat in memory) however many points `a` holds.
+_I_BLOCK = 1 << 15
+
+
 def integral_I(a, k: float):
     """I(a, k) = ∫_0^{π/2} dθ / (a + √(1 - k² sin²θ)).
 
@@ -203,10 +208,16 @@ def integral_I(a, k: float):
                                   n_panels=30)
         theta, w = composite_nodes(breaks, 32)
     root = np.sqrt(1.0 - (k * np.sin(theta)) ** 2)
-    vals = np.sum(w / (a_arr[..., None] + root), axis=-1)
+    flat = a_arr.ravel()
+    vals = np.empty(flat.shape)
+    step = max(1, _I_BLOCK // len(theta))
+    for i in range(0, flat.size, step):
+        terms = flat[i:i + step, None] + root
+        np.divide(w, terms, out=terms)
+        vals[i:i + step] = np.sum(terms, axis=-1)
     if np.ndim(a) == 0:
-        return float(vals)
-    return vals
+        return float(vals[0])
+    return vals.reshape(a_arr.shape)
 
 
 def hyp2F1_ck(k_index: int, m: float) -> float:

@@ -221,6 +221,43 @@ def test_cauchy_decay(tau):
 
 
 @pytest.mark.parametrize("tau", CAUCHY_TAUS)
+def test_cauchy_far_field(tau):
+    # from |z| = 1e6 on the transform is 1/z (to 1e-12), finite at any
+    # modulus; just below, the closed forms agree with it to 1e-8
+    for z in (1e300j, -1e300 + 1e300j, 3e200, complex(1e6, -1.0)):
+        assert cauchy(tau, z) == 1.0 / z
+    for z in (0.999e6j, 0.999e6 * cmath.exp(0.3j)):
+        assert abs(z * cauchy(tau, z) - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("tau", [-2.0, 0.0, 2.0])
+@pytest.mark.parametrize("z", [complex(math.nan, 1.0), math.inf, complex(0.0, -math.inf),
+                               math.nan])
+def test_non_finite_points_raise(tau, z):
+    with pytest.raises(DomainError):
+        cauchy(tau, z)
+    with pytest.raises(DomainError):
+        potential(tau, z)
+
+
+def test_attractive_edge_of_the_boundary():
+    # 1 - beta^2 is formed as ((1+tau)/tau)^2: beta rounds to 1 here, and
+    # the density, omega and the transform must stay finite and quiet
+    tau = -1.0 - 1e-12
+    assert support(tau).beta == 1.0
+    assert abs(density(tau, 0.5) - 0.5) <= 1e-9
+    assert abs(omega(tau) - omega(-1.0)) <= 1e-9
+    assert 0.0 < edge_coefficient(tau, "soft") < math.inf
+    assert math.isfinite(abs(cauchy(tau, 2.0 + 0.5j)))
+
+
+def test_repulsive_memo_caches_are_bounded():
+    from logeq.equilibrium import _omega_repulsive
+    assert solve_beta_repulsive.cache_info().maxsize == 1024
+    assert _omega_repulsive.cache_info().maxsize == 1024
+
+
+@pytest.mark.parametrize("tau", CAUCHY_TAUS)
 def test_cauchy_schwarz_and_parity(tau):
     for z in (0.9 + 0.4j, -1.4 + 0.01j, 0.2 + 2j, 3.0 + 0.0j):
         val = cauchy(tau, z)

@@ -235,3 +235,27 @@ def test_verify_passes(tau):
 
 def test_verify_spread_repulsive():
     assert verify(2.0).cross_route_omega_spread <= 1e-8
+
+
+@pytest.mark.parametrize("tau", [9.0, 10.0, 12.0])
+def test_verify_passes_on_narrow_two_cut_pieces(tau):
+    # the boundary-value offsets scale with the piece width 1 - beta
+    rep = verify(tau)
+    assert rep.passes
+    assert rep.sp_error <= 1e-6
+
+
+def test_verify_sp_error_far_into_the_attractive_regime():
+    # a cut of half-width ~1.4e-4 whose density peaks near 4.5e3: the
+    # boundary-value offsets must shrink with the cut
+    assert verify(-1e8).sp_error <= 1e-4
+
+
+def test_verify_batches_its_quadrature_points(monkeypatch):
+    import logeq.oracle as oracle_mod
+    calls = []
+    real = oracle_mod.potential_quad
+    monkeypatch.setattr(oracle_mod, "potential_quad",
+                        lambda tau, z: calls.append(np.size(z)) or real(tau, z))
+    assert verify(-2.0).passes
+    assert calls == [200, 200, 1]
