@@ -17,7 +17,7 @@ share; `cli` a command-line front end.
 """
 
 from .equilibrium import (ON_CUT_TOL, TAU_CRITICAL, EquilibriumReport, Regime,
-                          Support, SupportShape, beta_series_guess, cauchy,
+                          Support, SupportShape, cauchy,
                           classify_regime, density, edge_coefficient,
                           external_field, g_function, lebesgue_cauchy,
                           lebesgue_g, lebesgue_potential, omega,
@@ -30,12 +30,12 @@ from .oracle import (DiscreteSolution, GridMeasure, VerificationReport,
 from .series import (CoeffTable, SeriesResult, c_closed_form, c_quadrature,
                      c_recurrence, check_initial_coeff, omega_integral,
                      omega_series)
-from .specfun import complete_E, complete_K, complete_Pi, hyp2F1_ck, integral_I
+from .specfun import complete_E, complete_K, hyp2F1_ck, integral_I
 
 __all__ = [
     "ON_CUT_TOL", "TAU_CRITICAL",
     "Regime", "Support", "SupportShape", "EquilibriumReport",
-    "classify_regime", "beta_series_guess", "solve_beta_repulsive", "support",
+    "classify_regime", "solve_beta_repulsive", "support",
     "sqrt_cut", "phi_joukowski", "ratio_root",
     "lebesgue_g", "lebesgue_cauchy", "lebesgue_potential", "external_field",
     "density", "edge_coefficient", "cauchy", "g_function", "potential",
@@ -44,7 +44,7 @@ __all__ = [
     "c_closed_form", "c_recurrence", "omega_series", "omega_integral",
     "GridMeasure", "DiscreteSolution", "VerificationReport", "pv_integral",
     "measure_quadrature", "potential_quad", "discrete_minimize", "verify",
-    "complete_K", "complete_E", "complete_Pi", "integral_I", "hyp2F1_ck",
+    "complete_K", "complete_E", "integral_I", "hyp2F1_ck",
     "DomainError", "ConsistencyError", "ConvergenceError",
 ]
 

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._quad import gl_map
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, ConvergenceError, DomainError
 from .specfun import complete_E, complete_K, integral_I
 
 # Upper boundary of the intermediate regime; 2/(pi-2) ~ 1.7519.
@@ -41,6 +40,10 @@ ON_CUT_TOL = 1e-13
 # m2 <= 1.  The closed forms lose about |tau| |z| ulps to cancellation
 # between their logarithms (1e-9 at |z| = 1e6 for tau = 2), more already.
 FAR_FIELD = 1e6
+
+# Newton on a concave function converges quadratically from the start below;
+# 8 steps suffice at every tau tried.
+_NEWTON_MAX_ITER = 64
 
 
 class Regime(enum.Enum):
@@ -109,42 +112,32 @@ def classify_regime(tau: float) -> Regime:
     return Regime.REPULSIVE
 
 
-def beta_series_guess(tau: float) -> float:
-    """Series approximation to the two-cut endpoint, used to seed the solver.
-
-    Inverts the expansion of E near the modulus 0, valid for tau just above
-    the critical value; the result is clipped into (0, 1).
-    """
-    if classify_regime(tau) is not Regime.REPULSIVE:
-        raise DomainError(f"beta_series_guess requires tau > {TAU_CRITICAL}, got {tau!r}")
-    alpha = (2.0 / math.pi) * ((math.pi - 2.0) / 2.0 - 1.0 / tau)
-    guess = 2.0 * math.sqrt(alpha) * (1.0 - 0.375 * alpha - (17.0 / 128.0) * alpha ** 2)
-    return min(max(guess, 1e-12), 1.0 - 1e-12)
-
-
 @lru_cache(maxsize=1024)
 def solve_beta_repulsive(tau: float) -> float:
     """Endpoint beta of the two-cut support: the root of E(beta) = 1 + 1/tau.
 
-    E is strictly decreasing on [0, 1], so the root is unique.  A bracketed
-    safeguarded solver is started around the series guess; the bracket is
-    widened to (0, 1) if the guess window does not straddle the root.
-    Memoized for the 1024 most recent taus (pure function; concurrent
-    duplicate inserts are idempotent).
+    Newton's method in m = beta^2, with dE/dm = (E - K)/(2m).  E is
+    decreasing and concave in m, so from m = (1 - 2e-12)^2, just inside the
+    modulus cap, the iterates descend monotonically onto the root; the
+    first step that no longer decreases m ends the iteration.  Memoized for
+    the 1024 most recent taus (pure function; concurrent duplicate inserts
+    are idempotent).
     """
     if classify_regime(tau) is not Regime.REPULSIVE:
         raise DomainError(f"solve_beta_repulsive requires tau > {TAU_CRITICAL}, got {tau!r}")
     target = 1.0 + 1.0 / tau
-
-    def f(b: float) -> float:
-        return complete_E(b) - target
-
-    guess = beta_series_guess(tau)
-    lo = max(1e-12, guess - 0.1)
-    hi = min(1.0 - 1e-12, guess + 0.1)
-    if f(lo) * f(hi) > 0.0:
-        lo, hi = 1e-12, 1.0 - 1e-12
-    return float(brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    b = 1.0 - 2e-12
+    if complete_E(b) > target:
+        raise DomainError(f"tau={tau!r} puts beta within 2e-12 of 1")
+    m = b * b
+    for _ in range(_NEWTON_MAX_ITER):
+        e = complete_E(b)
+        m_next = m - 2.0 * m * (e - target) / (e - complete_K(b))
+        if not m_next < m:
+            return b
+        m = m_next
+        b = math.sqrt(m)
+    raise ConvergenceError(f"beta Newton iteration did not settle for tau={tau!r}")
 
 
 def _attractive_kc(tau: float) -> float:

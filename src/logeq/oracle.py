@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve as linalg_solve
 
 from ._quad import composite_nodes, geometric_breaks, gl_map
 from .equilibrium import (Regime, Support, SupportShape, _density_offset,
@@ -131,6 +130,11 @@ _EDGE_BREAKS.flags.writeable = False
 # Points per chunk of potential_quad, so its node arrays stay small.
 _Z_CHUNK = 16
 
+# From this modulus on, log|z - x| rounds to log|z| for every x in [-1, 1]
+# (|x/z| <= 1e-100), and squared distances could overflow further out:
+# potential_quad returns -log|z| there.
+_FAR_POINT = 1e100
+
 
 def _edge_segment(edge: float, inner):
     """Quadrature between a support edge and interior points (one row of
@@ -202,9 +206,13 @@ def measure_quadrature(tau: float, f=None) -> complex | float:
 # ---------------------------------------------------------------------------
 
 def _log_kernel_sums(tau: float, sup: Support, z: np.ndarray) -> np.ndarray:
-    """Quadrature of log|z - x| against the measure, for each point of z (1-D)."""
+    """Quadrature of log|z - x| against the measure, for each point of z (1-D).
+
+    Works on real arrays, in place where it can: log|z - x| is taken as
+    log((Re z - x)^2 + (Im z)^2) / 2, which needs neither a complex
+    temporary nor a hypot per node."""
     total = np.zeros(z.shape)
-    x_re, zc = z.real, z[:, None]
+    x_re, zr, zy2 = z.real, z.real[:, None], z.imag[:, None] ** 2
     for lo, hi in sup.pieces:
         inside = (lo < x_re) & (x_re < hi)
         mid = 0.5 * (lo + hi)
@@ -212,19 +220,29 @@ def _log_kernel_sums(tau: float, sup: Support, z: np.ndarray) -> np.ndarray:
         m_r = np.where(inside, 0.5 * (x_re + hi), mid)
         for edge, inner in ((lo, m_l), (hi, m_r)):
             off, s, w = _edge_segment(edge, inner)
-            rho = _density_offset(tau, edge, off)
-            total += np.sum(w * rho * np.log(np.abs((zc - edge) - s * off)), axis=-1)
+            w *= _density_offset(tau, edge, off)
+            d2 = s * off
+            d2 -= zr - edge
+            d2 *= d2
+            d2 += zy2
+            w *= np.log(d2, out=d2)
+            total += 0.5 * np.sum(w, axis=-1)
         if not np.any(inside):
             continue
-        zi, x_star = zc[inside], x_re[inside]
+        zr_in, zy2_in, x_star = zr[inside], zy2[inside], x_re[inside]
         # Flooring the distance at a couple of ulps only matters when a
         # node rounds onto z itself; the true contribution of that node's
         # panel is below the floor's error.
-        floor = 2.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(zi))
+        floor = 2.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(z[inside]))[:, None]
         for other in (m_l[inside], m_r[inside]):
             x, w = _log_segment(x_star, other)
-            d = np.maximum(np.abs(zi - x), floor)
-            total[inside] += np.sum(w * density(tau, x) * np.log(d), axis=-1)
+            w *= density(tau, x)
+            d2 = np.subtract(x, zr_in, out=x)
+            d2 *= d2
+            d2 += zy2_in
+            np.maximum(d2, floor * floor, out=d2)
+            w *= np.log(d2, out=d2)
+            total[inside] += 0.5 * np.sum(w, axis=-1)
     return total
 
 
@@ -238,7 +256,7 @@ def potential_quad(tau: float, z):
     geometrically toward both kinds of difficulty.  Accuracy ~1e-9 against
     a 1e-7 contract.  Works in every regime; this is the verification route
     for the closed forms (and the only potential route in the repulsive
-    regime).
+    regime).  From |z| = 1e100 on the value is -log|z|, exact there.
     """
     z = np.asarray(z, dtype=complex)
     bad = z[~np.isfinite(z)]
@@ -246,8 +264,12 @@ def potential_quad(tau: float, z):
         raise DomainError(f"potential_quad needs finite points, got z={complex(bad[0])!r}")
     sup, flat = support(tau), z.ravel()
     out = np.empty(flat.shape)
-    for i in range(0, flat.size, _Z_CHUNK):
-        out[i:i + _Z_CHUNK] = -_log_kernel_sums(tau, sup, flat[i:i + _Z_CHUNK])
+    far = np.abs(flat) >= _FAR_POINT
+    out[far] = -np.log(np.abs(flat[far]))
+    near = np.flatnonzero(~far)
+    for i in range(0, near.size, _Z_CHUNK):
+        idx = near[i:i + _Z_CHUNK]
+        out[idx] = -_log_kernel_sums(tau, sup, flat[idx])
     return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
@@ -294,8 +316,8 @@ def _corrective_solve(a, b, active, w, energy):
         rhs[:m] = -2.0 * b[active]
         rhs[m] = 1.0
         try:
-            sol = linalg_solve(kkt, rhs, assume_a="sym")
-        except Exception:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
             return None
         w_s = sol[:m]
         if np.all(w_s >= -1e-15):

@@ -28,6 +28,10 @@ from .specfun import complete_E, complete_K, hyp2F1_ck
 # inconsistent (the constructor gate and the recurrence checkpoints).
 _COEFF_RTOL = 1e-8
 
+# The recurrence divides by beta^2; at or below this beta^2 the closed form
+# gives the coefficients instead.
+_RECURRENCE_MIN_B2 = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class CoeffTable:
@@ -155,7 +159,7 @@ def c_recurrence(beta: float, tau: float, K: int) -> CoeffTable:
     if K < 3:
         raise DomainError(f"K={K!r} must be at least 3")
     b2 = beta * beta
-    if b2 <= 1e-10:
+    if b2 <= _RECURRENCE_MIN_B2:
         raise DomainError(
             f"beta={beta!r} too small for the recurrence (divides by beta^2); "
             "use the closed form or quadrature instead")
@@ -192,7 +196,8 @@ def omega_series(tau: float, tol: float) -> SeriesResult:
 
     Terms are positive and decay at least geometrically with ratio beta^2,
     so truncating at the first term below tol leaves a tail of at most
-    last_term * beta^2 / (1 - beta^2).
+    last_term * beta^2 / (1 - beta^2).  The coefficients come from the
+    recurrence, or from the closed form where beta^2 <= 1e-10.
     """
     if classify_regime(tau) is not Regime.REPULSIVE:
         raise DomainError(f"omega_series requires tau > 2/(pi-2), got {tau!r}")
@@ -205,8 +210,10 @@ def omega_series(tau: float, tol: float) -> SeriesResult:
     k_max = max(3, math.ceil(math.log(tol / (2.5 * tau)) / (2.0 * math.log(beta))) + 8)
     total = _series_prefactor(beta, tau)
     while True:
-        table = c_recurrence(beta, tau, 2 * k_max)
-        c = table.values
+        if b2 <= _RECURRENCE_MIN_B2:
+            c = [c_closed_form(beta, j) for j in range(2 * k_max + 1)]
+        else:
+            c = c_recurrence(beta, tau, 2 * k_max).values
         term = math.inf
         pw = 1.0
         k = 0

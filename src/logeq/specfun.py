@@ -1,11 +1,11 @@
 """Complete elliptic integrals and related special values.
 
 Everything here is hand-rolled from provably convergent schemes: the
-arithmetic-geometric mean for K and E, Carlson symmetric duplication for the
-third-kind integral, fixed-order Gauss-Legendre for the two-parameter
-integral I(a, k), and a plain power series for the hypergeometric values
-feeding the coefficient tables.  The modulus convention is used throughout:
-the `k` arguments below multiply sin^2 inside the square root as k^2.
+arithmetic-geometric mean for K and E, fixed-order Gauss-Legendre for the
+two-parameter integral I(a, k), and a plain power series for the
+hypergeometric values feeding the coefficient tables.  The modulus
+convention is used throughout: the `k` arguments below multiply sin^2
+inside the square root as k^2.
 """
 
 from __future__ import annotations
@@ -82,108 +82,11 @@ def complete_E(k: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Carlson symmetric forms (duplication method, double-precision error bounds)
-# ---------------------------------------------------------------------------
-
-def _carlson_rc(x: float, y: float) -> float:
-    """Degenerate symmetric integral R_C(x, y), x >= 0, y > 0."""
-    third = 1.0 / 3.0
-    w = 1.0
-    for _ in range(1000):
-        lam = 2.0 * math.sqrt(x) * math.sqrt(y) + y
-        x = 0.25 * (x + lam)
-        y = 0.25 * (y + lam)
-        ave = third * (x + y + y)
-        s = (y - ave) / ave
-        if abs(s) < 0.0012:
-            break
-    return w * (1.0 + s * s * (0.3 + s * (1.0 / 7.0 + s * (0.375 + s * 9.0 / 22.0)))) / math.sqrt(ave)
-
-
-def _carlson_rf(x: float, y: float, z: float) -> float:
-    """Symmetric integral of the first kind R_F(x, y, z), args >= 0."""
-    third = 1.0 / 3.0
-    for _ in range(1000):
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * (sy + sz) + sy * sz
-        x = 0.25 * (x + lam)
-        y = 0.25 * (y + lam)
-        z = 0.25 * (z + lam)
-        ave = third * (x + y + z)
-        dx = (ave - x) / ave
-        dy = (ave - y) / ave
-        dz = (ave - z) / ave
-        if max(abs(dx), abs(dy), abs(dz)) < 0.0025:
-            break
-    e2 = dx * dy - dz * dz
-    e3 = dx * dy * dz
-    return (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / math.sqrt(ave)
-
-
-def _carlson_rj(x: float, y: float, z: float, p: float) -> float:
-    """Symmetric integral of the third kind R_J(x, y, z, p), p > 0."""
-    c1, c2, c3, c4 = 3.0 / 14.0, 1.0 / 3.0, 3.0 / 22.0, 3.0 / 26.0
-    total = 0.0
-    fac = 1.0
-    for _ in range(1000):
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * (sy + sz) + sy * sz
-        alpha = (p * (sx + sy + sz) + sx * sy * sz) ** 2
-        beta = p * (p + lam) ** 2
-        total += fac * _carlson_rc(alpha, beta)
-        fac *= 0.25
-        x = 0.25 * (x + lam)
-        y = 0.25 * (y + lam)
-        z = 0.25 * (z + lam)
-        p = 0.25 * (p + lam)
-        ave = 0.2 * (x + y + z + 2.0 * p)
-        dx = (ave - x) / ave
-        dy = (ave - y) / ave
-        dz = (ave - z) / ave
-        dp = (ave - p) / ave
-        if max(abs(dx), abs(dy), abs(dz), abs(dp)) < 0.0015:
-            break
-    ea = dx * (dy + dz) + dy * dz
-    eb = dx * dy * dz
-    ec = dp * dp
-    ed = ea - 3.0 * ec
-    ee = eb + 2.0 * dp * (ea - ec)
-    tail = (1.0 + ed * (-c1 + 0.75 * c3 * ed - 1.5 * c4 * ee)
-            + eb * (0.5 * c2 + dp * (-c3 - c3 + dp * c4))
-            + dp * ea * (c2 - dp * c3) - c2 * dp * ec) / (ave * math.sqrt(ave))
-    return 3.0 * total + fac * tail
-
-
-def complete_Pi(n: float, k: float) -> float:
-    """Complete elliptic integral of the third kind.
-
-    Π(n, k) = ∫_0^{π/2} dθ / ((1 - n sin²θ) √(1 - k² sin²θ)), evaluated
-    through Carlson forms as R_F(0, 1-k², 1) + (n/3) R_J(0, 1-k², 1, 1-n).
-
-    Parameters
-    ----------
-    n : float
-        Characteristic, n < 1.
-    k : float
-        Modulus, 0 <= k < 1 - 1e-12.
-    """
-    if not (0.0 <= k < _K_MODULUS_CAP):
-        raise DomainError(f"complete_Pi requires 0 <= k < 1 - 1e-12, got k={k!r}")
-    if not n < 1.0:
-        raise DomainError(f"complete_Pi requires characteristic n < 1, got {n!r}")
-    kc2 = 1.0 - k * k
-    val = _carlson_rf(0.0, kc2, 1.0)
-    if n != 0.0:
-        val += n / 3.0 * _carlson_rj(0.0, kc2, 1.0, 1.0 - n)
-    return val
-
-
-# ---------------------------------------------------------------------------
 # The two-parameter kernel integral
 # ---------------------------------------------------------------------------
 
-# Points x theta nodes per block of integral_I: its temporaries stay near
-# 256 KiB (in cache, and flat in memory) however many points `a` holds.
+# Points x theta nodes per block of integral_I: one scratch block of ~256 KiB,
+# reused by every block of a call, however many points `a` holds.
 _I_BLOCK = 1 << 15
 
 
@@ -211,10 +114,12 @@ def integral_I(a, k: float):
     flat = a_arr.ravel()
     vals = np.empty(flat.shape)
     step = max(1, _I_BLOCK // len(theta))
+    scratch = np.empty((min(step, flat.size), len(theta)))
     for i in range(0, flat.size, step):
-        terms = flat[i:i + step, None] + root
+        terms = scratch[:flat.size - i]
+        np.add(flat[i:i + step, None], root, out=terms)
         np.divide(w, terms, out=terms)
-        vals[i:i + step] = np.sum(terms, axis=-1)
+        np.sum(terms, axis=-1, out=vals[i:i + step])
     if np.ndim(a) == 0:
         return float(vals[0])
     return vals.reshape(a_arr.shape)

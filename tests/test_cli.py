@@ -56,6 +56,14 @@ def test_module_entry_point_matches_cli_module():
     assert out1 == proc.stdout
 
 
+def test_import_pulls_in_no_scipy():
+    code = ("import sys, logeq.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "[]"
+
+
 def test_beta_json():
     rc, out, _ = run_cli("beta", "--tau", "2")
     assert rc == 0

@@ -12,7 +12,7 @@ import pytest
 
 from logeq._quad import gl_map
 from logeq.equilibrium import (ON_CUT_TOL, TAU_CRITICAL, Regime, Support,
-                               SupportShape, beta_series_guess, cauchy,
+                               SupportShape, cauchy,
                                classify_regime, density, edge_coefficient,
                                external_field, g_function, lebesgue_cauchy,
                                lebesgue_g, lebesgue_potential, omega,
@@ -70,19 +70,41 @@ def test_repulsive_beta_reference():
     assert abs(solve_beta_repulsive(5.0) - BETA5_REF) <= 1e-13
 
 
-@pytest.mark.parametrize("tau", [1.76, 2.0, 3.0, 5.0, 10.0, 50.0])
+@pytest.mark.parametrize("tau", [TAU_CRITICAL + 1e-8, 1.76, 2.0, 3.0, 5.0, 10.0,
+                                 50.0, 1e3, 1e5])
 def test_repulsive_beta_defining_equation(tau):
     b = solve_beta_repulsive(tau)
     assert abs(complete_E(b) - 1.0 - 1.0 / tau) <= 1e-14
 
 
-def test_beta_series_guess_quality():
-    # near the transition the two-term expansion is essentially exact and
-    # it stays a usable bracket center through tau = 5
-    for tau, rtol in ((TAU_CRITICAL + 1e-4, 1e-9), (1.8, 1e-6), (2.0, 1e-4),
-                      (5.0, 1e-2)):
-        b = solve_beta_repulsive(tau)
-        assert abs(beta_series_guess(tau) - b) <= rtol * b
+# oracle: mpmath bisection on mp.ellipe(beta^2) = 1 + 1/tau, dps=30.  Below
+# tau ~ 1.8 (beta < 0.2) the root is conditioned worse than 1e-14 relative
+# in double precision: E changes by only ~beta^2 pi/4 per unit of log beta.
+BETA_REFS = [
+    (1.8, 0.1962840365024351),
+    (2.5, 0.6314376227540273),
+    (4.0, 0.8281967402140247),
+    (20.0, 0.9800458630413882),
+    (300.0, 0.999186491677339),
+    (1e5, 0.9999986281442432),
+]
+
+
+@pytest.mark.parametrize("tau,ref", BETA_REFS)
+def test_repulsive_beta_mpmath_reference(tau, ref):
+    assert abs(solve_beta_repulsive(tau) - ref) <= 1e-14 * ref
+
+
+def test_repulsive_beta_increases_with_tau():
+    taus = np.concatenate([TAU_CRITICAL + np.geomspace(1e-10, 1e-2, 9),
+                           np.geomspace(1.8, 1e5, 60)])
+    betas = [solve_beta_repulsive(float(t)) for t in taus]
+    assert np.all(np.diff(betas) > 0.0)
+
+
+def test_solve_beta_rejects_beta_at_the_modulus_cap():
+    with pytest.raises(DomainError):
+        solve_beta_repulsive(1e12)
 
 
 def test_solve_beta_rejects_other_regimes():
@@ -396,6 +418,16 @@ def test_omega_continuity_at_attractive_boundary():
 def test_omega_continuity_at_repulsive_boundary():
     limit = (math.pi / (math.pi - 2.0)) * math.log(2.0)
     assert abs(omega(TAU_CRITICAL + 1e-4) - limit) <= 1e-3
+
+
+def test_omega_and_report_just_above_the_repulsive_boundary():
+    # beta^2 ~ 8e-13 here, too small for the coefficient recurrence; omega
+    # leaves the intermediate line (1 + tau) log 2 only at second order.
+    tau = TAU_CRITICAL + 1e-12
+    rep = report(tau)
+    assert rep.regime is Regime.REPULSIVE
+    assert rep.omega == omega(tau)
+    assert abs(rep.omega - (1.0 + tau) * math.log(2.0)) <= 1e-14
 
 
 def test_omega_repulsive_routes_agree():

@@ -124,3 +124,13 @@ def test_potential_quad_scalar_in_float_out():
 def test_potential_quad_rejects_non_finite_points(z):
     with pytest.raises(DomainError):
         potential_quad(0.5, z)
+
+
+@pytest.mark.parametrize("tau", [-2.0, 0.5, 2.0])
+def test_potential_quad_far_points(tau):
+    # From |z| = 1e100 on the potential is -log|z| to double precision; the
+    # quadrature just below that agrees, and no squared distance overflows
+    # further out.
+    zs = np.array([1e99, -1e100, 1e200j, 1.7e308])
+    got = potential_quad(tau, zs)
+    assert np.all(np.abs(got + np.log(np.abs(zs))) <= 1e-12 * np.abs(got))

@@ -1,8 +1,7 @@
 """Elliptic-integral kernel checks.
 
 Frozen reference values were produced by one-off oracle scripts; the
-comment above each block names the oracle (mpmath at 30 digits, or
-scipy.integrate.quad at tight tolerance).
+comment above each block names the oracle (mpmath at 30 digits).
 """
 
 import math
@@ -10,8 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from logeq.specfun import (complete_E, complete_K, complete_Pi, hyp2F1_ck,
-                           integral_I)
+from logeq.specfun import complete_E, complete_K, hyp2F1_ck, integral_I
 
 BETA2 = 0.41729943021563715
 
@@ -48,24 +46,6 @@ def test_legendre_relation():
         lhs = (complete_E(k) * complete_K(kp) + complete_E(kp) * complete_K(k)
                - complete_K(k) * complete_K(kp))
         assert abs(lhs - math.pi / 2) <= 5e-14
-
-
-# oracle: mpmath.ellippi(n, m = k**2), dps=30
-PI_REFS = [
-    (0.3, 0.6, 2.11341544050606),
-    (-0.5, 0.9, 1.7888013241937863),
-    (0.7, BETA2, 3.0491097519773844),
-]
-
-
-@pytest.mark.parametrize("n,k,ref", PI_REFS)
-def test_complete_Pi_reference(n, k, ref):
-    assert abs(complete_Pi(n, k) - ref) <= 2e-14 * abs(ref)
-
-
-def test_complete_Pi_reduces_to_K():
-    for k in (0.2, 0.7, 0.95):
-        assert abs(complete_Pi(0.0, k) - complete_K(k)) <= 1e-14 * complete_K(k)
 
 
 # oracle: mpmath.quad of the defining integral, dps=30
