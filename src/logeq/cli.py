@@ -175,7 +175,7 @@ def _cmd_density(args, parser) -> int:
 def _cmd_figure(args, parser) -> int:
     if args.name == "extfield":
         x = np.linspace(-1.0, 1.0, args.n)
-        vals = np.array([external_field(args.tau, float(xi)) for xi in x])
+        vals = external_field(args.tau, x)
     else:
         tau_fig = -2.0 if args.name == "fig2" else 2.0
         x, vals = _density_table(tau_fig, args.n, "uniform")

@@ -11,12 +11,13 @@ total charge tau).  Depending on tau the minimizing measure lives on
 
 This module owns the regime classification, the support endpoints, the
 density, the Cauchy transform with correct branch cuts, the g-function, the
-logarithmic potential, and the equilibrium constant omega.
+logarithmic potential, and the equilibrium constant omega.  Each function
+of a point takes one point (giving a Python float or complex) or an array
+(giving an array of its shape, rejected if any entry is invalid).
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -34,12 +35,6 @@ TAU_CRITICAL = 2.0 / (math.pi - 2.0)
 # Evaluation points closer than this to a branch cut are rejected rather
 # than silently resolved to one side.
 ON_CUT_TOL = 1e-13
-
-# From this modulus on the Cauchy transform is taken as 1/z, good to 1e-12:
-# the next term of z C(z) = 1 + m2/z^2 + ... is at most 1/|z|^2 since
-# m2 <= 1.  The closed forms lose about |tau| |z| ulps to cancellation
-# between their logarithms (1e-9 at |z| = 1e6 for tau = 2), more already.
-FAR_FIELD = 1e6
 
 # Newton on a concave function converges quadratically from the start below;
 # 8 steps suffice at every tau tried.
@@ -165,20 +160,16 @@ def support(tau: float) -> Support:
 # ---------------------------------------------------------------------------
 
 def _descalar(out):
-    return complex(out) if out.ndim == 0 else out
+    return out.item() if out.ndim == 0 else out
 
 
-def _shift(z: complex, d: float) -> complex:
+def _shift(z, d: float):
     """z + d keeping the sign of a zero imaginary part.
 
     Complex addition computes imag as imag(z) + 0.0, which rounds -0.0 up to
     +0.0 and silently moves a below-cut boundary point to the upper side.
     Shifting the real component alone keeps conjugate pairs conjugate.
     """
-    return complex(z.real + d, z.imag)
-
-
-def _shift_arr(z, d: float):
     out = np.empty_like(z)
     out.real = z.real + d
     out.imag = z.imag
@@ -187,7 +178,7 @@ def _shift_arr(z, d: float):
 
 def _sqrt_cut_arr(z, a: float):
     # Both factors must sit on the same side of the real axis; see _shift.
-    return np.sqrt(_shift_arr(z, -a)) * np.sqrt(_shift_arr(z, a))
+    return np.sqrt(_shift(z, -a)) * np.sqrt(_shift(z, a))
 
 
 def sqrt_cut(z, a: float):
@@ -218,72 +209,80 @@ def ratio_root(z, beta: float):
     return _descalar(_sqrt_cut_arr(z, beta) / _sqrt_cut_arr(z, 1.0))
 
 
-def _finite_point(z, what: str) -> complex:
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"{what} needs a finite point, got z={z!r}")
-    return z
-
-
-def _reject_on_cut(z: complex, sup: Support, what: str) -> None:
-    if abs(z.imag) > ON_CUT_TOL:
-        return
-    x = z.real
-    for lo, hi in sup.pieces:
-        if lo - ON_CUT_TOL <= x <= hi + ON_CUT_TOL:
+def _points(z, what: str, cuts=()):
+    """z as a flat complex array (a scalar runs through the array code too)
+    and its shape.  DomainError if an entry is not finite or on a cut."""
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    if not np.isfinite(flat).all():
+        bad = flat[~np.isfinite(flat)][0]
+        raise DomainError(f"{what} needs finite points, got z={complex(bad)!r}")
+    near = flat[np.abs(flat.imag) <= ON_CUT_TOL]
+    if cuts and near.size:
+        lo, hi = np.array(cuts).T
+        x = near.real[:, None]
+        hit = (lo - ON_CUT_TOL <= x) & (x <= hi + ON_CUT_TOL)
+        if hit.any():
+            i, j = np.argwhere(hit)[0]
             raise DomainError(
                 f"{what} is not defined within {ON_CUT_TOL:g} of the support cut "
-                f"[{lo}, {hi}]; got z={z!r}")
+                f"[{cuts[j][0]}, {cuts[j][1]}]; got z={complex(near[i])!r}")
+    return flat, z.shape
 
 
 # ---------------------------------------------------------------------------
 # Background-measure functions (uniform charge on [-1, 1])
 # ---------------------------------------------------------------------------
 
-def _zlogz(w: complex) -> complex:
-    """w log w with the 0 log 0 = 0 convention."""
-    if w == 0:
-        return 0.0j
-    return w * cmath.log(w)
-
-
-def lebesgue_g(z) -> complex:
-    """Complex logarithmic primitive for the uniform measure on [-1, 1].
-
-    g(z) = (z+1)/2 log(z+1) - (z-1)/2 log(z-1) - 1, normalized so that
-    g(z) = log z + O(1/z) at infinity.
-    """
-    z = complex(z)
-    return 0.5 * _zlogz(_shift(z, 1.0)) - 0.5 * _zlogz(_shift(z, -1.0)) - 1.0
-
-
-def lebesgue_cauchy(z) -> complex:
-    """Cauchy transform of the uniform measure: (1/2) log((z+1)/(z-1))."""
-    z = complex(z)
-    return 0.5 * (cmath.log(_shift(z, 1.0)) - cmath.log(_shift(z, -1.0)))
-
-
-def _entropy_bracket(x: float) -> float:
+def _entropy_bracket(x):
     """(1+x) log(1+x) + (1-x) log(1-x) on [-1, 1], with 0 log 0 = 0."""
     xp, xm = 1.0 + x, 1.0 - x
-    a = xp * math.log(xp) if xp > 0.0 else 0.0
-    b = xm * math.log(xm) if xm > 0.0 else 0.0
-    return a + b
+    return xp * np.log(np.where(xp > 0.0, xp, 1.0)) + xm * np.log(np.where(xm > 0.0, xm, 1.0))
 
 
-def lebesgue_potential(z) -> float:
+def _lebesgue_cauchy(z):
+    # (1/2) log((z+1)/(z-1)) as atanh(1/z), which does not cancel at large
+    # |z|; unlike 1/z, np.reciprocal keeps the sign of a zero imaginary part.
+    return np.arctanh(np.reciprocal(z))
+
+
+def _lebesgue_g(z):
+    # The half-difference of the logarithms is atanh(1/z), their half-sum
+    # the logarithm of sqrt_cut(z, 1): no term cancels at large |z|.
+    return z * _lebesgue_cauchy(z) + np.log(_sqrt_cut_arr(z, 1.0)) - 1.0
+
+
+def lebesgue_g(z):
+    """Complex logarithmic primitive for the uniform measure on [-1, 1].
+
+    g(z) = (z+1)/2 log(z+1) - (z-1)/2 log(z-1) - 1 off [-1, 1], normalized
+    so that g(z) = log z + O(1/z) at infinity.
+    """
+    flat, shape = _points(z, "lebesgue_g", ((-1.0, 1.0),))
+    return _descalar(_lebesgue_g(flat).reshape(shape))
+
+
+def lebesgue_cauchy(z):
+    """Cauchy transform (1/2) log((z+1)/(z-1)) of the uniform measure, off [-1, 1]."""
+    flat, shape = _points(z, "lebesgue_cauchy", ((-1.0, 1.0),))
+    return _descalar(_lebesgue_cauchy(flat).reshape(shape))
+
+
+def lebesgue_potential(z):
     """Logarithmic potential of the uniform measure on [-1, 1].
 
     Equals 1 - (1/2)[(1+x)log(1+x) + (1-x)log(1-x)] on the interval itself
     and -Re g elsewhere; the two agree at the endpoints (value 1 - log 2).
     """
-    z = complex(z)
-    if abs(z.imag) <= ON_CUT_TOL and -1.0 <= z.real <= 1.0:
-        return 1.0 - 0.5 * _entropy_bracket(z.real)
-    return -lebesgue_g(z).real
+    z, shape = _points(z, "lebesgue_potential")
+    out = np.empty(z.shape)
+    on = (np.abs(z.imag) <= ON_CUT_TOL) & (np.abs(z.real) <= 1.0)
+    out[on] = 1.0 - 0.5 * _entropy_bracket(z.real[on])
+    out[~on] = -_lebesgue_g(z[~on]).real
+    return _descalar(out.reshape(shape))
 
 
-def external_field(tau: float, z) -> float:
+def external_field(tau: float, z):
     """External field tau * V(x) acting on the unit charge."""
     return tau * lebesgue_potential(z)
 
@@ -306,17 +305,12 @@ def density(tau: float, x):
     regime = classify_regime(tau)
     sup = support(tau)
     beta = sup.beta
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    shape = np.shape(x)
+    arr = np.asarray(x, dtype=float).ravel()
 
-    if regime is Regime.INTERMEDIATE:
-        ok = (arr > -1.0) & (arr < 1.0)
-    elif regime is Regime.ATTRACTIVE:
-        ok = (arr > -beta) & (arr < beta)
-    else:
-        ok = ((arr > beta) & (arr < 1.0)) | ((arr > -1.0) & (arr < -beta))
-    if not np.all(ok):
+    lo, hi = np.array(sup.pieces).T
+    ok = np.any((lo < arr[:, None]) & (arr[:, None] < hi), axis=-1)
+    if not ok.all():
         bad = arr[~ok][0]
         raise DomainError(f"x={bad!r} is outside the open support interior at tau={tau!r}")
 
@@ -328,12 +322,10 @@ def density(tau: float, x):
         vals = (-tau / math.pi) * np.arctan(
             np.sqrt((beta * beta - arr * arr) / _attractive_kc(tau) ** 2))
     else:
-        a = np.sqrt(1.0 - arr * arr)
-        vals = (tau / math.pi) * np.abs(arr) * np.sqrt(
-            (arr * arr - beta * beta)) / a * integral_I(a, beta)
-    if scalar:
-        return float(vals[0])
-    return vals
+        absx = np.abs(arr)
+        vals = _repulsive_density(tau, beta, absx, (absx - beta) * (absx + beta),
+                                  (1.0 - absx) * (1.0 + absx))
+    return _descalar(vals.reshape(shape))
 
 
 def _density_offset(tau: float, edge: float, off):
@@ -356,12 +348,16 @@ def _density_offset(tau: float, edge: float, off):
         return (-tau / math.pi) * np.arctan(np.sqrt(gap / _attractive_kc(tau) ** 2))
     if abs(edge) == 1.0:
         absx = 1.0 - off
-        one_minus = off * (2.0 - off)
-        x2mb2 = absx * absx - beta * beta
-    else:
-        absx = beta + off
-        one_minus = (1.0 - absx) * (1.0 + absx)
-        x2mb2 = off * (2.0 * beta + off)
+        return _repulsive_density(tau, beta, absx, (absx - beta) * (absx + beta),
+                                  off * (2.0 - off))
+    absx = beta + off
+    return _repulsive_density(tau, beta, absx, off * (2.0 * beta + off),
+                              (1.0 - absx) * (1.0 + absx))
+
+
+def _repulsive_density(tau: float, beta: float, absx, x2mb2, one_minus):
+    # x^2 - beta^2 and 1 - x^2 come formed so that neither cancels near
+    # its edge: from an edge offset, or as a difference times a sum.
     a = np.sqrt(one_minus)
     return (tau / math.pi) * absx * np.sqrt(x2mb2) / a * integral_I(a, beta)
 
@@ -403,133 +399,147 @@ def edge_coefficient(tau: float, edge: str) -> float:
 # Cauchy transform
 # ---------------------------------------------------------------------------
 
-def _cauchy_intermediate(tau: float, z: complex) -> complex:
-    return (1.0 + tau) / sqrt_cut(z, 1.0) - 0.5 * tau * (
-        cmath.log(_shift(z, 1.0)) - cmath.log(_shift(z, -1.0)))
+# Points per block of the gap-kernel rule: (points x nodes) temporaries ~256 KiB.
+_KERNEL_BLOCK = 128
 
 
-def _cauchy_attractive(tau: float, beta: float, z: complex) -> complex:
-    s = _attractive_kc(tau)
-    r = sqrt_cut(z, beta)
-    # The two expressions are identical; each is cancellation-free on its
-    # half-plane (r + s degenerates near z = -1, r - s near z = +1).
-    if z.real >= 0.0:
-        return tau * cmath.log((r + s) / _shift(z, 1.0))
-    return tau * cmath.log(_shift(z, -1.0) / (r - s))
+def _cauchy_attractive(tau: float, beta: float, z):
+    # tau log((r + s)/(z + 1)), s = (1 + tau)/tau, through beta^2 =
+    # -(2 tau + 1)/tau^2.  |tau (r + z)| >= |tau| beta > 1 keeps the argument
+    # inside atanh's unit disk, and nothing cancels at any |z|.
+    r = _sqrt_cut_arr(z, beta)
+    return 2.0 * tau * np.arctanh(np.reciprocal(r + z) / tau)
 
 
-def _gap_kernel_integral(z: complex, beta: float) -> complex:
-    """∫_{-beta}^{beta} sqrt((1-x^2)/(beta^2-x^2)) dx/(z-x) for z off [-beta,beta].
+def _gap_kernel_integral(z, beta: float, r):
+    """∫_{-beta}^{beta} sqrt((1-x^2)/(beta^2-x^2)) dx/(z-x) at the points of
+    z (1-D), all off [-beta, beta], given r = sqrt_cut(z, beta).
 
-    Evaluated by subtracting the value-matched pure-Chebyshev kernel, whose
-    integral has the closed form pi / sqrt_cut(z, beta); the remainder is a
-    smooth integrand under x = beta sin(theta), so fixed Gauss-Legendre
-    converges spectrally even for z arbitrarily close to the cut.
+    Under x = beta sin(theta), fixed Gauss-Legendre takes the integrand
+    directly from |z| = 2 on, where nothing cancels.  Closer in, the
+    value-matched Chebyshev kernel (integral pi / sqrt_cut(z, beta)) is
+    subtracted first; the remainder is smooth up to the cut.
     """
-    s1z = cmath.sqrt(1.0 - z * z)
     theta, w = gl_map(-0.5 * math.pi, 0.5 * math.pi, 128)
-    root = np.sqrt(1.0 - (beta * np.sin(theta)) ** 2)
-    smooth = np.sum(w * (z + beta * np.sin(theta)) / (root + s1z))
-    return smooth + math.pi * s1z / sqrt_cut(z, beta)
+    y = beta * np.sin(theta)
+    root = np.sqrt(1.0 - y ** 2)
+    q = np.empty(z.shape, complex)
+    for i in range(0, z.size, _KERNEL_BLOCK):
+        zb, rb, qb = z[i:i + _KERNEL_BLOCK], r[i:i + _KERNEL_BLOCK], q[i:i + _KERNEL_BLOCK]
+        far = np.abs(zb) >= 2.0
+        if far.any():
+            qb[far] = np.sum(w * root / (zb[far, None] - y), axis=-1)
+        if not far.all():
+            zn = zb[~far]
+            # (1 - z^2)^{1/2} as a product, so that conjugate points stay
+            # conjugate on the real axis (see _shift)
+            s1z = np.sqrt(_shift(-zn, 1.0)) * np.sqrt(_shift(zn, 1.0))
+            smooth = np.sum(w * (zn[:, None] + y) / (root + s1z[:, None]), axis=-1)
+            qb[~far] = smooth + math.pi * s1z / rb[~far]
+    return q
 
 
-def _cauchy_repulsive_gap(tau: float, beta: float, x: float) -> complex:
-    # On the real gap the transform is real and analytic; the principal-value
-    # reduction of the kernel integral gives 2x I(sqrt(1-x^2), beta).
-    r = math.sqrt((beta * beta - x * x) / (1.0 - x * x))
-    pv = 2.0 * x * integral_I(math.sqrt(1.0 - x * x), beta)
-    val = 0.5 * tau * r * pv - 0.5 * tau * math.log((1.0 + x) / (1.0 - x))
-    return complex(val)
+def _cauchy_repulsive(tau: float, beta: float, z):
+    out = np.empty(z.shape, complex)
+    gap = (np.abs(z.imag) <= ON_CUT_TOL) & (np.abs(z.real) < beta)
+    if gap.any():
+        # real and analytic on the real gap, where the principal value of
+        # the kernel integral is 2x I(sqrt(1-x^2), beta)
+        x = z.real[gap]
+        ratio = np.sqrt((beta * beta - x * x) / (1.0 - x * x))
+        pv = 2.0 * x * integral_I(np.sqrt(1.0 - x * x), beta)
+        out[gap] = 0.5 * tau * ratio * pv - tau * np.arctanh(x)
+    z = z[~gap]
+    r = _sqrt_cut_arr(z, beta)
+    out[~gap] = (0.5 * tau * (r / _sqrt_cut_arr(z, 1.0)) * _gap_kernel_integral(z, beta, r)
+                 - tau * _lebesgue_cauchy(z))
+    return out
 
 
-def _cauchy_repulsive(tau: float, beta: float, z: complex) -> complex:
-    if abs(z.imag) <= ON_CUT_TOL and abs(z.real) < beta:
-        return _cauchy_repulsive_gap(tau, beta, z.real)
-    q = _gap_kernel_integral(z, beta)
-    return complex(0.5 * tau * ratio_root(z, beta) * q - 0.5 * tau * (
-        cmath.log(_shift(z, 1.0)) - cmath.log(_shift(z, -1.0))))
-
-
-def cauchy(tau: float, z) -> complex:
+def cauchy(tau: float, z):
     """Cauchy transform ∫ dμ(x)/(z - x) of the equilibrium measure.
 
-    Defined at finite points off the support; points within 1e-13 of a cut
-    are rejected.  Behaves like 1/z at infinity (and is 1/z from
-    |z| >= FAR_FIELD on) and maps conjugates to conjugates.
+    Takes a point off the support or an array of them; points within 1e-13
+    of a cut are rejected.  One closed form per regime, at every modulus:
+    (1 + tau)/sqrt_cut(z, 1) - tau atanh(1/z) on the full interval,
+    2 tau atanh(1/(tau (sqrt_cut(z, beta) + z))) on one cut, and
+    (tau/2) ratio_root(z, beta) q - tau atanh(1/z) on two, q the gap-kernel
+    integral (its principal value at real points of the gap).  Relative
+    error within 1e-12 from |z| = 2 to 1e300 for tau in [-1e8, 10]; the
+    two-cut terms cancel by a factor ~1 + tau.  Maps conjugates to conjugates.
     """
-    z = _finite_point(z, "cauchy transform")
     sup = support(tau)
-    _reject_on_cut(z, sup, "cauchy transform")
-    if abs(z) >= FAR_FIELD:
-        return 1.0 / z
+    z, shape = _points(z, "cauchy transform", sup.pieces)
     regime = classify_regime(tau)
     if regime is Regime.INTERMEDIATE:
-        return _cauchy_intermediate(tau, z)
-    if regime is Regime.ATTRACTIVE:
-        return _cauchy_attractive(tau, sup.beta, z)
-    return _cauchy_repulsive(tau, sup.beta, z)
+        out = (1.0 + tau) / _sqrt_cut_arr(z, 1.0) - tau * _lebesgue_cauchy(z)
+    elif regime is Regime.ATTRACTIVE:
+        out = _cauchy_attractive(tau, sup.beta, z)
+    else:
+        out = _cauchy_repulsive(tau, sup.beta, z)
+    return _descalar(out.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
 # g-function, potential, equilibrium constant
 # ---------------------------------------------------------------------------
 
-def g_function(tau: float, z) -> complex:
-    """Primitive of the Cauchy transform, normalized to log z + O(1/z).
-
-    Closed forms exist in the attractive and intermediate regimes only; in
-    the repulsive regime there is no closed form and the evaluation is
-    rejected.  Like any complex logarithm, the result carries log-monodromy
-    cuts extending along the negative real axis.
-    """
-    z = complex(z)
-    sup = support(tau)
-    _reject_on_cut(z, sup, "g-function")
+def _g_function(tau: float, sup: Support, z):
     regime = classify_regime(tau)
     if regime is Regime.INTERMEDIATE:
-        return (1.0 + tau) * cmath.log(0.5 * phi_joukowski(z)) - tau * lebesgue_g(z)
+        return (1.0 + tau) * np.log(0.5 * phi_joukowski(z)) - tau * _lebesgue_g(z)
     if regime is Regime.ATTRACTIVE:
         beta = sup.beta
         s = _attractive_kc(tau)
-        c = _cauchy_attractive(tau, beta, z)
-        r = sqrt_cut(z, beta)
-        return (z * c
-                + (1.0 + tau) * cmath.log(0.5 * beta * phi_joukowski(z / beta))
-                - tau * cmath.log((r + z * s) / (1.0 + s))
+        r = _sqrt_cut_arr(z, beta)
+        return (z * _cauchy_attractive(tau, beta, z)
+                + (1.0 + tau) * np.log(0.5 * (z + r))
+                - tau * np.log((r + z * s) / (1.0 + s))
                 - 1.0)
     raise DomainError("no closed-form g-function in the repulsive regime")
 
 
-def potential(tau: float, z) -> float:
+def g_function(tau: float, z):
+    """Primitive of the Cauchy transform, normalized to log z + O(1/z).
+
+    Takes a point or an array, like `cauchy`.  Closed forms exist in the
+    attractive and intermediate regimes only; in the repulsive regime there
+    is no closed form and the evaluation is rejected.  Like any complex
+    logarithm, the result carries log-monodromy cuts extending along the
+    negative real axis.
+    """
+    sup = support(tau)
+    z, shape = _points(z, "g-function", sup.pieces)
+    return _descalar(_g_function(tau, sup, z).reshape(shape))
+
+
+def potential(tau: float, z):
     """Logarithmic potential ∫ log(1/|z - x|) dμ(x) of the equilibrium measure.
 
-    On the support the closed interval formula applies; elsewhere the
-    potential is -Re g.  The repulsive regime has no closed form anywhere
-    and delegates to the quadrature oracle.  z must be finite.
+    Takes a finite point (giving a float) or an array of them (giving an
+    array of its shape).  On the support the closed interval formula
+    applies; elsewhere the potential is -Re g.  The repulsive regime has no
+    closed form anywhere and delegates to the quadrature oracle.
     """
-    z = _finite_point(z, "potential")
-    regime = classify_regime(tau)
-    if regime is Regime.REPULSIVE:
+    if classify_regime(tau) is Regime.REPULSIVE:
         from .oracle import potential_quad
         return potential_quad(tau, z)
     sup = support(tau)
-    beta = sup.beta if regime is Regime.ATTRACTIVE else 1.0
-    if abs(z.imag) <= ON_CUT_TOL and -beta <= z.real <= beta:
-        x = z.real
-        return 0.5 * tau * (_entropy_bracket(x) - 2.0) + omega(tau)
-    return -g_function(tau, z).real
+    z, shape = _points(z, "potential")
+    out = np.empty(z.shape)
+    on = (np.abs(z.imag) <= ON_CUT_TOL) & (np.abs(z.real) <= sup.beta)
+    out[on] = 0.5 * tau * (_entropy_bracket(z.real[on]) - 2.0) + omega(tau)
+    if not on.all():  # the g-function costs ~40 us even on no points
+        off, _ = _points(z[~on], "g-function", sup.pieces)
+        out[~on] = -_g_function(tau, sup, off).real
+    return _descalar(out.reshape(shape))
 
 
 @lru_cache(maxsize=1024)
-def _omega_repulsive(tau: float) -> float:
+def _omega_repulsive(tau: float) -> tuple[float, float]:
+    """Values of the series and the integral route to the two-cut omega."""
     from .series import omega_integral, omega_series
-    series_val = omega_series(tau, 1e-12).value
-    integral_val = omega_integral(tau)
-    if abs(series_val - integral_val) > 1e-8:
-        raise ConsistencyError(
-            f"omega routes disagree at tau={tau!r}: series {series_val!r} "
-            f"vs integral {integral_val!r}")
-    return series_val
+    return omega_series(tau, 1e-12).value, omega_integral(tau)
 
 
 def omega(tau: float) -> float:
@@ -547,7 +557,12 @@ def omega(tau: float) -> float:
         beta = support(tau).beta
         return ((1.0 + tau) * math.log(2.0) - math.log(beta) + 1.0 + tau
                 - tau * math.log(1.0 + _attractive_kc(tau)))
-    return _omega_repulsive(tau)
+    series_val, integral_val = _omega_repulsive(tau)
+    if abs(series_val - integral_val) > 1e-8:
+        raise ConsistencyError(
+            f"omega routes disagree at tau={tau!r}: series {series_val!r} "
+            f"vs integral {integral_val!r}")
+    return series_val
 
 
 def report(tau: float) -> EquilibriumReport:

@@ -17,8 +17,9 @@ import numpy as np
 
 from ._quad import composite_nodes, geometric_breaks, gl_map
 from .equilibrium import (Regime, Support, SupportShape, _density_offset,
-                          cauchy, classify_regime, density, external_field,
-                          omega, support)
+                          _descalar, _omega_repulsive, _points, cauchy,
+                          classify_regime, density, external_field, omega,
+                          support)
 from .errors import ConsistencyError, ConvergenceError, DomainError
 
 
@@ -136,7 +137,7 @@ _Z_CHUNK = 16
 _FAR_POINT = 1e100
 
 
-def _edge_segment(edge: float, inner):
+def _edge_segment(edge: float, inner, order: int = 16):
     """Quadrature between a support edge and interior points (one row of
     nodes per point of `inner`), in the edge variable t with x = edge + s t^2,
     returned as (off, s, w) where off = t^2.  The offset is handed back
@@ -146,7 +147,7 @@ def _edge_segment(edge: float, inner):
     inner = np.asarray(inner, float)
     s = np.where(inner > edge, 1.0, -1.0)[..., None]
     span = np.sqrt(np.abs(inner - edge))
-    t, wt = composite_nodes(span[..., None] * _EDGE_BREAKS, 16)
+    t, wt = composite_nodes(span[..., None] * _EDGE_BREAKS, order)
     return t * t, s, 2.0 * t * wt
 
 
@@ -170,33 +171,18 @@ def measure_quadrature(tau: float, f=None) -> complex | float:
     """Integral of f against the equilibrium measure, to ~1e-9.
 
     f is a vectorized callable of a real ndarray (default: constant 1, so
-    the result is the total mass).  Substitutions absorb the edge behavior
-    of the density: x = beta sin(theta) on the attractive cut,
-    x = cos(phi) on the full interval, and on each repulsive piece the
-    edge segments of potential_quad, split at the midpoint.
+    the result is the total mass).  Each support piece is split at its
+    midpoint into the edge segments of potential_quad, in every regime, with
+    64 nodes per panel: the outer panel spans 3/4 of a segment, and f may
+    vary there (1/(z - x) at 0.05 from the cut is good to ~1e-14).
     """
-    regime = classify_regime(tau)
-    beta = support(tau).beta
-
     if f is None:
         f = lambda x: np.ones_like(x)
-
-    if regime is Regime.ATTRACTIVE:
-        theta, w = gl_map(-0.5 * math.pi, 0.5 * math.pi, 128)
-        x = beta * np.sin(theta)
-        jac = beta * np.cos(theta)
-        total = np.sum(w * f(x) * density(tau, x) * jac)
-    elif regime is Regime.INTERMEDIATE:
-        phi, w = gl_map(0.0, math.pi, 128)
-        x = np.cos(phi)
-        # density * jacobian = (1+tau)/pi - (tau/2) sin(phi): no edge blowup
-        total = np.sum(w * f(x) * ((1.0 + tau) / math.pi - 0.5 * tau * np.sin(phi)))
-    else:
-        total = 0.0
-        for edge in (beta, 1.0):
-            off, s, w = _edge_segment(edge, 0.5 * (beta + 1.0))
-            x, rho = edge + s * off, _density_offset(tau, edge, off)
-            total += np.sum(w * f(x) * rho) + np.sum(w * f(-x) * rho)
+    total = 0.0
+    for lo, hi in support(tau).pieces:
+        for edge in (lo, hi):
+            off, s, w = _edge_segment(edge, 0.5 * (lo + hi), 64)
+            total += np.sum(w * f(edge + s * off) * _density_offset(tau, edge, off))
     total = complex(total)
     return total if total.imag != 0.0 else total.real
 
@@ -258,11 +244,8 @@ def potential_quad(tau: float, z):
     for the closed forms (and the only potential route in the repulsive
     regime).  From |z| = 1e100 on the value is -log|z|, exact there.
     """
-    z = np.asarray(z, dtype=complex)
-    bad = z[~np.isfinite(z)]
-    if bad.size:
-        raise DomainError(f"potential_quad needs finite points, got z={complex(bad[0])!r}")
-    sup, flat = support(tau), z.ravel()
+    flat, shape = _points(z, "potential_quad")
+    sup = support(tau)
     out = np.empty(flat.shape)
     far = np.abs(flat) >= _FAR_POINT
     out[far] = -np.log(np.abs(flat[far]))
@@ -270,7 +253,7 @@ def potential_quad(tau: float, z):
     for i in range(0, near.size, _Z_CHUNK):
         idx = near[i:i + _Z_CHUNK]
         out[idx] = -_log_kernel_sums(tau, sup, flat[idx])
-    return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+    return _descalar(out.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +342,7 @@ def discrete_minimize(tau: float, n_nodes: int, max_iters: int) -> DiscreteSolut
     nodes = np.sort(np.cos(math.pi * j / (n_nodes - 1)))
     nodes[0], nodes[-1] = -1.0, 1.0
     a = _interaction_matrix(nodes)
-    b = np.array([external_field(tau, x) for x in nodes])
+    b = external_field(tau, nodes)
 
     w = np.full(n_nodes, 1.0 / n_nodes)
     grad = 2.0 * (a @ w + b)
@@ -446,19 +429,20 @@ _SP_WEIGHTS = tuple(math.prod((0.0 - e) / (e_i - e) for e in _SP_EPS if e != e_i
                     for e_i in _SP_EPS)
 
 
-def _sp_density(tau: float, x: float) -> float:
+def _sp_density(tau: float, x):
     """Density recovered from one-sided Cauchy boundary values.
 
-    Evaluates -Im C(x + i eps)/pi on eps = (1e-3, 1e-4, 1e-5) h and removes
-    the eps dependence by quadratic extrapolation to eps = 0.  The scale
-    h = min(1, w/2) follows the width w of the support piece holding x:
+    Evaluates -Im C(x + i eps)/pi on eps = (1e-3, 1e-4, 1e-5) h at the
+    points of x (an array), in one cauchy call, and removes the eps
+    dependence by quadratic extrapolation to eps = 0.  The scale
+    h = min(1, w/2) follows the width w shared by the support pieces:
     fixed offsets reach past the range where the quadratic model holds
-    once the pieces get narrow (two-cut tau above ~8.7, one-cut tau near
-    -1e8).
+    once the pieces get narrow (two-cut tau above ~8.7, one-cut ~ -1e8).
     """
-    h = min(1.0, 0.5 * next(hi - lo for lo, hi in support(tau).pieces if lo < x < hi))
-    vals = [-cauchy(tau, complex(x, e * h)).imag / math.pi for e in _SP_EPS]
-    return sum(li * v for li, v in zip(_SP_WEIGHTS, vals))
+    lo, hi = support(tau).pieces[0]
+    h = min(1.0, 0.5 * (hi - lo))
+    vals = -cauchy(tau, x[:, None] + 1j * (np.array(_SP_EPS) * h)).imag / math.pi
+    return sum(li * vals[:, i] for i, li in enumerate(_SP_WEIGHTS))
 
 
 def _support_grid(sup: Support, n_total: int, inset_frac: float) -> np.ndarray:
@@ -503,7 +487,7 @@ def verify(tau: float) -> VerificationReport:
     try:
         w = omega(tau)
         xs = _support_grid(sup, 200, 1e-3)
-        field = [external_field(tau, x) for x in xs]
+        field = external_field(tau, xs)
         flatness_error = np.max(np.abs(potential_quad(tau, xs) + field - w))
     except Exception:
         flatness_error = math.inf
@@ -514,21 +498,21 @@ def verify(tau: float) -> VerificationReport:
         else:
             w = omega(tau)
             xs = _gap_grid(tau, sup, 200)
-            field = [external_field(tau, x) for x in xs]
+            field = external_field(tau, xs)
             inequality_margin = np.min(potential_quad(tau, xs) + field - w)
     except Exception:
         inequality_margin = -math.inf
 
     try:
         xs = _support_grid(sup, 20, 0.05)
-        sp_error = max(abs(_sp_density(tau, x) - density(tau, x)) for x in xs)
+        sp_error = np.max(np.abs(_sp_density(tau, xs) - density(tau, xs)))
     except Exception:
         sp_error = math.inf
 
     try:
         if regime is Regime.REPULSIVE:
-            from .series import omega_integral, omega_series
-            cross = abs(omega_series(tau, 1e-12).value - omega_integral(tau))
+            series_val, integral_val = _omega_repulsive(tau)
+            cross = abs(series_val - integral_val)
         else:
             lo, hi = sup.pieces[0]
             x0 = lo + 0.55 * (hi - lo)

@@ -259,6 +259,14 @@ def test_figure_extfield():
     assert abs(rows[0, 1] - (-2.0 * (1.0 - math.log(2.0)))) <= 1e-14
 
 
+def test_figure_extfield_is_the_array_field():
+    from logeq.equilibrium import external_field
+    rc, out, _ = run_cli("figure", "--name", "extfield", "--tau", "1.5", "--n", "41")
+    assert rc == 0
+    _, rows = parse_csv(out)
+    assert np.array_equal(rows[:, 1], external_field(1.5, rows[:, 0]))
+
+
 def test_figure_fig2_spans_attractive_support():
     rc, out, _ = run_cli("figure", "--name", "fig2", "--n", "101")
     assert rc == 0

@@ -180,6 +180,34 @@ def test_density_rejects_exterior_points():
         density(2.0, support(2.0).beta)   # edge itself is excluded
 
 
+# oracle: mpmath (dps 30) quadrature of I(a, beta) in
+# (tau/pi) |x| sqrt(x^2 - beta^2)/a I(a, beta), a = sqrt(1 - x^2), at the
+# double beta = solve_beta_repulsive(tau) and the double points
+# x = beta + 1e-9 (1 - beta) (soft edge) and x = 1 - 1e-9 (1 - beta) (hard
+# edge).  Near the soft edge the density moves by ~(1/2) dbeta/(x - beta)
+# relative, so the references hold for this beta only.
+DENSITY_EDGE_REFS = [
+    (2.0, 0.4172994302156365, 0.41729943079833703, 5.4351344972890271e-6),
+    (2.0, 0.4172994302156365, 0.9999999994172994, 27907.770374770345),
+    (10.0, 0.9517291058103534, 0.9517291058586244, 0.00015731727048091435),
+    (10.0, 0.9517291058103534, 0.9999999999517291, 259143.94795669119),
+    (1e3, 0.9997906007088883, 0.9997906007090976, 0.043035618202244716),
+    (1e3, 0.9997906007088883, 0.9999999999997906, 53104065.044030393),
+]
+
+
+@pytest.mark.parametrize("tau,beta,x,ref", DENSITY_EDGE_REFS)
+def test_density_edges_against_mpmath(tau, beta, x, ref):
+    # x^2 - beta^2 and 1 - x^2 are formed as products of a difference and
+    # a sum; as differences of squares they lost up to 1e-4 relative here
+    from logeq.equilibrium import _density_offset
+    assert solve_beta_repulsive(tau) == beta
+    assert abs(density(tau, x) - ref) <= 1e-14 * ref
+    assert abs(density(tau, -x) - ref) <= 1e-14 * ref
+    edge, off = (1.0, 1.0 - x) if x > 0.5 * (1.0 + beta) else (beta, x - beta)
+    assert abs(_density_offset(tau, edge, off) - ref) <= 1e-14 * ref
+
+
 def test_density_scalar_and_array_agree():
     xs = np.array([0.1, -0.55, 0.8])
     arr = density(-2.0, xs)
@@ -242,14 +270,33 @@ def test_cauchy_decay(tau):
         assert abs(zc * cauchy(tau, zc) - 1.0) <= 2.0 / abs(zc) ** 2
 
 
-@pytest.mark.parametrize("tau", CAUCHY_TAUS)
-def test_cauchy_far_field(tau):
-    # from |z| = 1e6 on the transform is 1/z (to 1e-12), finite at any
-    # modulus; just below, the closed forms agree with it to 1e-8
-    for z in (1e300j, -1e300 + 1e300j, 3e200, complex(1e6, -1.0)):
-        assert cauchy(tau, z) == 1.0 / z
-    for z in (0.999e6j, 0.999e6 * cmath.exp(0.3j)):
-        assert abs(z * cauchy(tau, z) - 1.0) <= 1e-8
+# Moduli and arguments of the relative-error test, plus the points of the
+# former exact-1/z far-field check.
+REL_MODULI = (2.0, 5.0, 30.0, 1e2, 1e3, 1e5, 9.9e5, 1e10, 1e100, 1e300)
+REL_POINTS = np.concatenate([
+    np.outer(REL_MODULI, np.exp(0.25j * math.pi * np.arange(8))).ravel(),
+    [1e300j, -1e300 + 1e300j, 3e200, complex(1e6, -1.0), 0.999e6j,
+     0.999e6 * cmath.exp(0.3j)]])
+
+
+@pytest.mark.parametrize("tau", [-1e8, -2.0, 0.0, 1.0, 2.0, 10.0])
+def test_cauchy_relative_error(tau):
+    # one closed form per regime at every modulus, with no switch to 1/z:
+    # against quadrature of 1/(z - x) where that is accurate, and against
+    # the moment expansion (1 + m2/z^2 + m4/z^4)/z farther out (and on the
+    # 3e-4 wide cut of tau = -1e8, whose mass rule is good to 4.5e-9 only)
+    from logeq.oracle import measure_quadrature
+    m2 = measure_quadrature(tau, lambda x: x * x)
+    m4 = measure_quadrature(tau, lambda x: x ** 4)
+    got = cauchy(tau, REL_POINTS)
+    assert got.shape == REL_POINTS.shape
+    for z, c in zip(REL_POINTS, got):
+        if abs(z) <= 1e3 and tau != -1e8:
+            ref = complex(measure_quadrature(tau, lambda x: 1.0 / (z - x)))
+        else:
+            w = 1.0 / z
+            ref = w * (1.0 + m2 * w * w + m4 * w ** 4)
+        assert abs(c - ref) <= 1e-12 * abs(ref), z
 
 
 @pytest.mark.parametrize("tau", [-2.0, 0.0, 2.0])
@@ -356,6 +403,26 @@ def test_lebesgue_functions():
         fd = (lebesgue_g(z + h) - lebesgue_g(z - h)) / (2 * h)
         # roundoff in the difference quotient dominates; O(h^2) alone is 1e-12
         assert abs(fd - lebesgue_cauchy(z)) <= 1e-7
+
+
+def test_lebesgue_transforms_reject_the_interval():
+    # both are defined off [-1, 1]; lebesgue_potential covers the interval
+    for z in (0.5, -1.0, 0.0, complex(1.0, 0.5 * ON_CUT_TOL)):
+        with pytest.raises(DomainError):
+            lebesgue_g(z)
+        with pytest.raises(DomainError):
+            lebesgue_cauchy(z)
+    with pytest.raises(DomainError):
+        lebesgue_potential(math.nan)
+
+
+def test_lebesgue_transforms_at_large_modulus():
+    # atanh(1/z) and the regrouped primitive do not cancel as |z| grows
+    for z in (1e8 + 1e8j, -3e5, 1e200j):
+        w = 1.0 / z
+        assert abs(lebesgue_cauchy(z) - (w + w ** 3 / 3.0)) <= 1e-15 * abs(w)
+        ref = cmath.log(z) - w * w / 6.0
+        assert abs(lebesgue_g(z) - ref) <= 1e-15 * abs(ref)
 
 
 def test_external_field_values():

@@ -94,6 +94,16 @@ def test_known_moments():
         assert abs(float(measure_quadrature(tau, lambda x: x))) <= 1e-10
 
 
+@pytest.mark.parametrize("tau", [-5.0, -2.0, -1.0, 0.0, 1.0, 1.75, 2.0, 10.0])
+def test_measure_quadrature_close_to_the_cut(tau):
+    # one edge-segment rule in every regime: f = 1/(z - x) at 0.05 to 0.1
+    # from the cut is integrated to the accuracy of the closed form
+    lo, hi = support(tau).pieces[-1]
+    for z in (0.5 * (lo + hi) + 0.1j, lo + 0.3 * (hi - lo) + 0.1j, 0.05j, hi + 0.1):
+        direct = complex(measure_quadrature(tau, lambda x: 1.0 / (z - x)))
+        assert abs(cauchy(tau, z) - direct) <= 1e-13 * abs(direct), z
+
+
 @pytest.mark.parametrize("tau", [-2.0, 0.0, 2.0])
 def test_cauchy_against_quadrature(tau):
     rng = np.random.default_rng(7)
@@ -249,6 +259,49 @@ def test_verify_sp_error_far_into_the_attractive_regime():
     # a cut of half-width ~1.4e-4 whose density peaks near 4.5e3: the
     # boundary-value offsets must shrink with the cut
     assert verify(-1e8).sp_error <= 1e-4
+
+
+def test_verify_reuses_the_omega_routes(monkeypatch):
+    # omega's cache holds both route values; verify reads its spread there
+    import logeq.series as series_mod
+    from logeq.equilibrium import _omega_repulsive
+    _omega_repulsive.cache_clear()
+    calls = []
+    real = series_mod.omega_series
+    monkeypatch.setattr(series_mod, "omega_series",
+                        lambda tau, tol: calls.append(tau) or real(tau, tol))
+    tau = 2.0 + 1e-9 * math.pi  # a tau no other test caches
+    rep = verify(tau)
+    assert rep.passes
+    assert calls == [tau]
+    assert rep.cross_route_omega_spread == abs(omega(tau) - series_mod.omega_integral(tau))
+
+
+def test_verify_spread_stays_finite_when_the_routes_disagree(monkeypatch):
+    import logeq.series as series_mod
+    from logeq.equilibrium import _omega_repulsive
+    real = series_mod.omega_integral
+    monkeypatch.setattr(series_mod, "omega_integral", lambda tau: real(tau) + 1e-6)
+    tau = 3.0 + 1e-9 * math.pi
+    try:
+        with pytest.raises(ConsistencyError, match="omega routes disagree"):
+            omega(tau)
+        rep = verify(tau)
+        assert not rep.passes
+        assert abs(rep.cross_route_omega_spread - 1e-6) <= 1e-12
+        assert rep.flatness_error == math.inf  # it needs omega itself
+    finally:
+        _omega_repulsive.cache_clear()  # drop the perturbed route values
+
+
+def test_verify_makes_one_cauchy_call(monkeypatch):
+    import logeq.oracle as oracle_mod
+    sizes = []
+    real = oracle_mod.cauchy
+    monkeypatch.setattr(oracle_mod, "cauchy",
+                        lambda tau, z: sizes.append(np.size(z)) or real(tau, z))
+    assert verify(2.0).passes
+    assert sizes == [60]  # 20 support points x 3 offsets
 
 
 def test_verify_batches_its_quadrature_points(monkeypatch):
