@@ -518,8 +518,9 @@ def potential(tau: float, z):
 
     Takes a finite point (giving a float) or an array of them (giving an
     array of its shape).  On the support the closed interval formula
-    applies; elsewhere the potential is -Re g.  The repulsive regime has no
-    closed form anywhere and delegates to the quadrature oracle.
+    applies; elsewhere the potential is -Re g, also at real points just
+    outside a support edge.  The repulsive regime has no closed form
+    anywhere and delegates to the quadrature oracle.
     """
     if classify_regime(tau) is Regime.REPULSIVE:
         from .oracle import potential_quad
@@ -530,25 +531,53 @@ def potential(tau: float, z):
     on = (np.abs(z.imag) <= ON_CUT_TOL) & (np.abs(z.real) <= sup.beta)
     out[on] = 0.5 * tau * (_entropy_bracket(z.real[on]) - 2.0) + omega(tau)
     if not on.all():  # the g-function costs ~40 us even on no points
-        off, _ = _points(z[~on], "g-function", sup.pieces)
-        out[~on] = -_g_function(tau, sup, off).real
+        # No point left lies on the cut, however close to an edge: Re g is
+        # continuous across the real axis outside the support.
+        out[~on] = -_g_function(tau, sup, z[~on]).real
     return _descalar(out.reshape(shape))
 
 
+# Up to this beta^2 (tau ~ 9.55) the series answers, checked by the integral
+# route; it needs ~230 terms there and its cost grows like (1 - beta^2)^-2.
+# Above, the integral answers, checked by the flatness of the potential.
+_SERIES_MAX_B2 = 0.9
+
+# Where the flatness route evaluates the potential: fractions of [beta, 1].
+_FLATNESS_POINTS = np.array([0.3, 0.7])
+
+
 @lru_cache(maxsize=1024)
-def _omega_repulsive(tau: float) -> tuple[float, float]:
-    """Values of the series and the integral route to the two-cut omega."""
+def _omega_repulsive(tau: float) -> tuple[tuple[str, float], tuple[str, float]]:
+    """The answering route to the two-cut omega and the route checking it,
+    each as (name, value).
+
+    beta^2 <= 0.9: the coefficient series, checked by the integral route.
+    Above: the integral route, checked by flatness, potential_quad plus the
+    external field at two points of [beta, 1]; of those two values the one
+    farther from the integral is kept.
+    """
     from .series import omega_integral, omega_series
-    return omega_series(tau, 1e-12).value, omega_integral(tau)
+    beta = solve_beta_repulsive(tau)
+    if beta * beta <= _SERIES_MAX_B2:
+        return ("series", omega_series(tau, 1e-12).value), ("integral", omega_integral(tau))
+    from .oracle import potential_quad
+    value = omega_integral(tau)
+    x = beta + (1.0 - beta) * _FLATNESS_POINTS
+    flat = potential_quad(tau, x) + external_field(tau, x)
+    return ("integral", value), ("flatness", float(flat[np.argmax(np.abs(flat - value))]))
 
 
 def omega(tau: float) -> float:
     """Equilibrium constant: the level of potential + external field on the support.
 
     Closed forms in the attractive and intermediate regimes.  In the
-    repulsive regime the value is computed from the coefficient series and
-    cross-checked against an independent double-integral route; the two must
-    agree to 1e-8 or a ConsistencyError is raised.
+    repulsive regime one route answers and an independent one checks it:
+    up to beta^2 = 0.9 (tau ~ 9.55) the coefficient series against the
+    double-integral route, above it the integral route against the flatness
+    of the quadrature potential on [beta, 1].  The two must agree to 1e-8
+    (1e-12 relative once |omega| > 1e4) or a ConsistencyError is raised.
+    Valid for every finite tau up to ~3.5e10; above, beta comes within
+    2e-12 of 1 and DomainError is raised.
     """
     regime = classify_regime(tau)
     if regime is Regime.INTERMEDIATE:
@@ -557,12 +586,15 @@ def omega(tau: float) -> float:
         beta = support(tau).beta
         return ((1.0 + tau) * math.log(2.0) - math.log(beta) + 1.0 + tau
                 - tau * math.log(1.0 + _attractive_kc(tau)))
-    series_val, integral_val = _omega_repulsive(tau)
-    if abs(series_val - integral_val) > 1e-8:
+    (name, value), (check_name, check) = _omega_repulsive(tau)
+    # Both routes sum terms of size ~tau: past |omega| = 1e4 (tau ~ 3.3e4)
+    # the gate is relative, 1e-12, about 7 times their largest measured
+    # relative spread (1.5e-13, up to tau = 3.4e10).
+    if abs(value - check) > max(1e-8, 1e-12 * abs(value)):
         raise ConsistencyError(
-            f"omega routes disagree at tau={tau!r}: series {series_val!r} "
-            f"vs integral {integral_val!r}")
-    return series_val
+            f"omega routes disagree at tau={tau!r}: {name} {value!r} "
+            f"vs {check_name} {check!r}")
+    return value
 
 
 def report(tau: float) -> EquilibriumReport:

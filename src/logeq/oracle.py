@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,10 +125,6 @@ def pv_integral(kernel: str, beta: float, x: float) -> float:
 # Quadrature of the equilibrium measure
 # ---------------------------------------------------------------------------
 
-# Edge-rule breaks for span 1: times a span, geometric_breaks' floats for it.
-_EDGE_BREAKS = geometric_breaks(0.0, 1.0, toward=0.0, n_panels=20)
-_EDGE_BREAKS.flags.writeable = False
-
 # Points per chunk of potential_quad, so its node arrays stay small.
 _Z_CHUNK = 16
 
@@ -135,6 +132,14 @@ _Z_CHUNK = 16
 # (|x/z| <= 1e-100), and squared distances could overflow further out:
 # potential_quad returns -log|z| there.
 _FAR_POINT = 1e100
+
+
+@lru_cache(maxsize=4)
+def _unit_edge_rule(order: int):
+    """Nodes and weights of the edge rule for span 1 (read-only, cached)."""
+    t, w = composite_nodes(geometric_breaks(0.0, 1.0, toward=0.0, n_panels=20), order)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def _edge_segment(edge: float, inner, order: int = 16):
@@ -146,9 +151,10 @@ def _edge_segment(edge: float, inner, order: int = 16):
     and lose the sliver there (which carries ~sqrt(off) of mass)."""
     inner = np.asarray(inner, float)
     s = np.where(inner > edge, 1.0, -1.0)[..., None]
-    span = np.sqrt(np.abs(inner - edge))
-    t, wt = composite_nodes(span[..., None] * _EDGE_BREAKS, order)
-    return t * t, s, 2.0 * t * wt
+    span = np.sqrt(np.abs(inner - edge))[..., None]
+    t_unit, w_unit = _unit_edge_rule(order)
+    t = span * t_unit
+    return t * t, s, 2.0 * t * (span * w_unit)
 
 
 def _log_segment(x_star, other):
@@ -473,8 +479,11 @@ def verify(tau: float) -> VerificationReport:
 
     Every component uses an evaluation route independent of the closed
     forms it checks (quadrature of the density, boundary-value
-    extrapolation, series-vs-integral spread).  Components that raise are
-    recorded as infinities; this function does not throw.
+    extrapolation, the spread between omega's two routes).  In the
+    repulsive regime that spread is the one omega gated, read from its
+    cache: series against integral up to beta^2 = 0.9 (tau ~ 9.55), integral
+    against flatness above.  Components that raise are recorded as
+    infinities; this function does not throw.
     """
     regime = classify_regime(tau)
     sup = support(tau)
@@ -511,8 +520,8 @@ def verify(tau: float) -> VerificationReport:
 
     try:
         if regime is Regime.REPULSIVE:
-            series_val, integral_val = _omega_repulsive(tau)
-            cross = abs(series_val - integral_val)
+            (_, value), (_, check) = _omega_repulsive(tau)
+            cross = abs(value - check)
         else:
             lo, hi = sup.pieces[0]
             x0 = lo + 0.55 * (hi - lo)

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._quad import gl_map
+from ._quad import composite_nodes, geometric_breaks, gl_map
 from .equilibrium import Regime, classify_regime, solve_beta_repulsive
 from .errors import ConsistencyError, DomainError
 from .specfun import complete_E, complete_K, hyp2F1_ck
@@ -31,6 +31,11 @@ _COEFF_RTOL = 1e-8
 # The recurrence divides by beta^2; at or below this beta^2 the closed form
 # gives the coefficients instead.
 _RECURRENCE_MIN_B2 = 1e-10
+
+# Largest term count omega_series takes on.  Its estimate is 6 636 at
+# tau = 100 and grows like 1/(1 - beta^2), as does the cost of each
+# closed-form coefficient (14 s at tau = 100 on a 2-vCPU machine).
+_SERIES_MAX_TERMS = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,9 +200,11 @@ def omega_series(tau: float, tol: float) -> SeriesResult:
             + tau sum_{k>=1} c_{2k-1} c_{2k} beta^{2k}.
 
     Terms are positive and decay at least geometrically with ratio beta^2,
-    so truncating at the first term below tol leaves a tail of at most
-    last_term * beta^2 / (1 - beta^2).  The coefficients come from the
-    recurrence, or from the closed form where beta^2 <= 1e-10.
+    so the tail after a term is at most last_term * beta^2 / (1 - beta^2);
+    the sum stops once both that bound and the last term are below tol.
+    The coefficients come from the recurrence, or from the closed form where
+    beta^2 <= 1e-10.  The number of terms grows like 1/(1 - beta^2): past
+    10 000 of them (tau above ~140) DomainError points to omega_integral.
     """
     if classify_regime(tau) is not Regime.REPULSIVE:
         raise DomainError(f"omega_series requires tau > 2/(pi-2), got {tau!r}")
@@ -205,11 +212,17 @@ def omega_series(tau: float, tol: float) -> SeriesResult:
         raise DomainError(f"tol={tol!r} below the attainable floor 1e-14")
     beta = solve_beta_repulsive(tau)
     b2 = beta * beta
-    # Geometric bound on the index where tau c_{2k-1} c_{2k} beta^{2k}
-    # first drops below tol (coefficients are bounded by c_1 c_2 < 2.5).
-    k_max = max(3, math.ceil(math.log(tol / (2.5 * tau)) / (2.0 * math.log(beta))) + 8)
+    # a term times this is the larger of the term and the tail bound after it
+    tail = max(1.0, b2 / (1.0 - b2))
+    # Geometric bound on the index where that drops below tol for
+    # tau c_{2k-1} c_{2k} beta^{2k} (coefficients are bounded by c_1 c_2 < 2.5).
+    k_max = max(3, math.ceil(math.log(tol / (2.5 * tau * tail)) / (2.0 * math.log(beta))) + 8)
     total = _series_prefactor(beta, tau)
     while True:
+        if k_max > _SERIES_MAX_TERMS:
+            raise DomainError(
+                f"omega_series needs ~{k_max} terms at tau={tau!r} (beta^2={b2!r}), "
+                f"over its budget of {_SERIES_MAX_TERMS}; use omega_integral")
         if b2 <= _RECURRENCE_MIN_B2:
             c = [c_closed_form(beta, j) for j in range(2 * k_max + 1)]
         else:
@@ -222,12 +235,21 @@ def omega_series(tau: float, tol: float) -> SeriesResult:
             pw *= b2
             term = float(tau * c[2 * k - 1] * c[2 * k] * pw)
             total += term
-            if term < tol:
+            if term * tail < tol:
                 return SeriesResult(value=float(total), terms_used=k, last_term=term)
         # The geometric estimate fell short (it never should by much);
         # restart with a larger table.
         total = _series_prefactor(beta, tau)
         k_max *= 2
+
+
+@lru_cache(maxsize=64)
+def _graded_rule(span: float, n_panels: int, order: int):
+    """Gauss-Legendre nodes and weights on [0, span], in panels halving
+    n_panels times toward 0 (read-only, cached)."""
+    x, w = composite_nodes(geometric_breaks(0.0, span, toward=0.0, n_panels=n_panels), order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def omega_integral(tau: float) -> float:
@@ -241,45 +263,55 @@ def omega_integral(tau: float) -> float:
 
     where Jm(x) = int_{-1}^{1} sqrt((1-beta^2 s^2)/(1-s^2)) s^m/(x - beta s) ds.
 
-    The inner integrals lose their endpoint singularity under s = sin(theta).
-    The outer integrals are split at x = 2: on [1, 2] the substitution
-    x = 1 + u^2 absorbs the 1/sqrt(x^2-1) edge for W1 (W2 is already
-    smooth), and on [2, inf) the map t = 1/x compactifies the tail.  All
-    integrands are then analytic in a fixed neighborhood, so fixed-order
-    Gauss-Legendre reaches ~1e-12; the budget target is 1e-9.
+    Under s = sin(theta) the inner integrals lose their endpoint
+    singularity, and each half of [-pi/2, pi/2] is taken in the distance
+    phi to its end, so that 1 - beta^2 s^2 and x - beta s are sums of
+    nonnegative terms built from 1 - beta, x - 1 and phi: nothing cancels
+    as x -> 1 and beta -> 1.  The outer integrals are split at x = 2: on
+    [1, 2] the substitution x = 1 + u^2 absorbs the 1/sqrt(x^2-1) edge, and
+    on [2, inf) the map t = 1/x compactifies the tail.  The integrands
+    keep layers of width sqrt(1 - beta) at u = 0 and phi = 0, where both
+    rules put geometric panels.  Relative error ~1e-14 for tau from
+    TAU_CRITICAL to 1e5 (beta up to 1 - 1.4e-6); beta is solvable up to
+    tau ~ 3.5e10.
     """
     if classify_regime(tau) is not Regime.REPULSIVE:
         raise DomainError(f"omega_integral requires tau > 2/(pi-2), got {tau!r}")
     beta = solve_beta_repulsive(tau)
-    b2 = beta * beta
+    omb = 1.0 - beta
+    # both rules halve their panels until the innermost is below the layer
+    # width sqrt(1 - beta), which takes log2(span) + depth halvings
+    depth = -0.5 * math.log2(omb)
 
-    theta, w_th = gl_map(-0.5 * math.pi, 0.5 * math.pi, 128)
-    bs = beta * np.sin(theta)
-    root = np.sqrt(1.0 - bs * bs)
+    # Inner rule: phi in [0, pi/2] for each half, theta = +-(pi/2 - phi).
+    phi, w_phi = _graded_rule(0.5 * math.pi, math.ceil(depth + math.log2(0.5 * math.pi)), 16)
+    cos_phi = np.cos(phi)
+    sin_s = np.concatenate((cos_phi, -cos_phi))
+    # 1 - sin(theta) on the upper half and the lower half
+    one_minus_s = np.concatenate((2.0 * np.sin(0.5 * phi) ** 2, 1.0 + cos_phi))
+    root = np.sqrt(omb * (1.0 + beta) + (beta * np.sin(phi)) ** 2)
+    w_root = np.tile(w_phi * root, 2)
+    gap = omb + beta * one_minus_s  # x - beta sin(theta) at x = 1
 
-    def inner(x, moment):
-        # Jm at each outer node; x has shape (n,), result shape (n,).
-        num = (w_th * root) if moment == 0 else (w_th * root * np.sin(theta))
-        return np.sum(num / (x[:, None] - bs), axis=1)
+    # Outer nodes: x = 1 + u^2 on [1, 2], x = 1/t on [2, inf).
+    u, w_u = _graded_rule(1.0, math.ceil(depth), 16)
+    t, w_t = gl_map(0.0, 0.5, 64)
+    x_minus_1 = np.concatenate((u * u, 1.0 / t - 1.0))
+    # Row sums, not a matrix product: BLAS would add its buffers to the RSS.
+    kernel = w_root / (x_minus_1[:, None] + gap)
+    j0, j1 = np.sum(kernel, axis=1), np.sum(kernel * sin_s, axis=1)
+    j0a, j1a, j0b, j1b = j0[:u.size], j1[:u.size], j0[u.size:], j1[u.size:]
 
-    # W1 on [1, 2]: x = 1 + u^2, dx = 2u du, sqrt(x^2-1) = u sqrt(2+u^2).
-    u, w_u = gl_map(0.0, 1.0, 64)
     x_a = 1.0 + u * u
     sq = np.sqrt(2.0 + u * u)
-    w1a = np.sum(w_u * 2.0 * inner(x_a, 0)
-                 / (sq * (u * sq + np.sqrt(x_a * x_a - b2))))
-    # W1 on [2, inf): t = 1/x.
-    t, w_t = gl_map(0.0, 0.5, 64)
-    x_b = 1.0 / t
+    # sqrt(x^2 - 1) = u sqrt(2 + u^2), sqrt(x^2 - beta^2) from x - beta = u^2 + 1 - beta
+    w1a = np.sum(w_u * 2.0 * j0a / (sq * (u * sq + np.sqrt((u * u + omb) * (x_a + beta)))))
     s1 = np.sqrt(1.0 - t * t)
-    s2 = np.sqrt(1.0 - b2 * t * t)
-    w1b = np.sum(w_t * inner(x_b, 0) / (s1 * (s1 + s2)))
-    w1 = 0.5 * tau * (1.0 - b2) * (w1a + w1b)
-
-    # W2 on [1, 2]: the integrand J1(x)/x is smooth as is.
-    x_c, w_c = gl_map(1.0, 2.0, 64)
-    w2a = np.sum(w_c * inner(x_c, 1) / x_c)
-    # W2 on [2, inf): t = 1/x turns J1(x)/x dx into J1(1/t)/t dt.
-    w2b = np.sum(w_t * inner(x_b, 1) / t)
+    s2 = np.sqrt(1.0 - (beta * t) ** 2)
+    w1b = np.sum(w_t * j0b / (s1 * (s1 + s2)))
+    w1 = 0.5 * tau * omb * (1.0 + beta) * (w1a + w1b)
+    # J1(x)/x dx is 2u J1(1 + u^2)/(1 + u^2) du, and J1(1/t)/t dt on the tail.
+    w2a = np.sum(w_u * 2.0 * u * j1a / x_a)
+    w2b = np.sum(w_t * j1b / t)
     w2 = 0.5 * tau * beta * (w2a + w2b)
     return float(w1 + w2)

@@ -107,6 +107,23 @@ def test_omega_methods():
     assert abs(ws - omega(2.0)) <= 1e-8
 
 
+def test_omega_methods_above_the_series_band():
+    # beta^2 > 0.9: auto answers with the integral route
+    rc, out_a, _ = run_cli("omega", "--tau", "80")
+    assert rc == 0
+    rc, out_i, _ = run_cli("omega", "--tau", "80", "--method", "integral")
+    assert rc == 0
+    assert parse_json(out_a)["omega"] == parse_json(out_i)["omega"]
+    assert abs(parse_json(out_a)["omega"] - 28.263340124900358) <= 1e-12
+
+
+def test_omega_series_past_its_term_budget_exits_3():
+    rc, out, err = run_cli("omega", "--tau", "1e4", "--method", "series")
+    assert rc == 3
+    assert out == b""
+    assert b"use omega_integral" in err
+
+
 def test_verify_command_passes():
     rc, out, _ = run_cli("verify", "--tau", "0")
     assert rc == 0

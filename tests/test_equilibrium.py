@@ -462,6 +462,24 @@ def test_potential_complex_matches_real_axis_limit():
         assert abs(v_real - v_complex) <= 1e-9
 
 
+@pytest.mark.parametrize("tau,edge,ref", [
+    # frozen: 40-digit mpmath of the closed forms at the float x
+    (-2.0, math.sqrt(3.0) / 2.0, None),
+    (0.5, 1.0, 0.8862938869682485),
+])
+def test_potential_just_outside_a_support_edge(tau, edge, ref):
+    # within ON_CUT_TOL outside an edge, real points get -Re g, which is
+    # continuous with the values on either side
+    x = edge + 5e-14
+    v = potential(tau, x)
+    assert potential(tau, -x) == v
+    assert potential(tau, edge) >= v >= potential(tau, edge + 2e-13)
+    if ref is None:  # a soft edge: the potential is flat to first order
+        assert abs(v - potential(tau, edge)) <= 1e-12
+    else:  # a hard edge: it falls like sqrt(x - 1)
+        assert abs(v - ref) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # equilibrium constant
 # ---------------------------------------------------------------------------
@@ -495,6 +513,19 @@ def test_omega_and_report_just_above_the_repulsive_boundary():
     assert rep.regime is Regime.REPULSIVE
     assert rep.omega == omega(tau)
     assert abs(rep.omega - (1.0 + tau) * math.log(2.0)) <= 1e-14
+
+
+def test_omega_answers_by_beta_band():
+    from logeq.equilibrium import _omega_repulsive
+    assert [r[0] for r in _omega_repulsive(9.0)] == ["series", "integral"]
+    for tau in (12.0, 80.0):
+        assert [r[0] for r in _omega_repulsive(tau)] == ["integral", "flatness"]
+
+
+def test_omega_above_the_beta_cap_raises_domain_error():
+    for tau in (3.6e10, 1e300):
+        with pytest.raises(DomainError, match="within 2e-12 of 1"):
+            omega(tau)
 
 
 def test_omega_repulsive_routes_agree():

@@ -294,6 +294,40 @@ def test_verify_spread_stays_finite_when_the_routes_disagree(monkeypatch):
         _omega_repulsive.cache_clear()  # drop the perturbed route values
 
 
+def test_verify_reuses_the_omega_routes_above_the_series_band(monkeypatch):
+    import logeq.series as series_mod
+    from logeq.equilibrium import _omega_repulsive
+    _omega_repulsive.cache_clear()
+    calls = []
+    real = series_mod.omega_integral
+    monkeypatch.setattr(series_mod, "omega_integral",
+                        lambda tau: calls.append(tau) or real(tau))
+    tau = 12.0 + 1e-9 * math.pi  # beta^2 ~ 0.935, a tau no other test caches
+    rep = verify(tau)
+    assert rep.passes
+    assert calls == [tau]
+    (_, value), (check_name, check) = _omega_repulsive(tau)
+    assert check_name == "flatness"
+    assert rep.cross_route_omega_spread == abs(value - check) <= 1e-8
+
+
+def test_verify_spread_stays_finite_when_flatness_disagrees(monkeypatch):
+    import logeq.oracle as oracle_mod
+    from logeq.equilibrium import _omega_repulsive
+    real = oracle_mod.potential_quad
+    monkeypatch.setattr(oracle_mod, "potential_quad", lambda tau, z: real(tau, z) + 1e-6)
+    tau = 15.0 + 1e-9 * math.pi
+    try:
+        with pytest.raises(ConsistencyError, match="omega routes disagree .* vs flatness"):
+            omega(tau)
+        rep = verify(tau)
+        assert not rep.passes
+        assert abs(rep.cross_route_omega_spread - 1e-6) <= 1e-12
+        assert rep.flatness_error == math.inf  # it needs omega itself
+    finally:
+        _omega_repulsive.cache_clear()  # drop the perturbed route values
+
+
 def test_verify_makes_one_cauchy_call(monkeypatch):
     import logeq.oracle as oracle_mod
     sizes = []

@@ -1,11 +1,13 @@
-"""Property tests of the array API of the point functions.
+"""Property tests of the array API of the point functions, and of the
+measure and omega over tau.
 
 Every function of a point takes one point or an array of them.  These
 tests draw tau across the three regimes and arrays of points off the cuts,
 and check that the array call is the elementwise scalar call, that the
 Cauchy transform is conjugate-symmetric and odd, that one bad entry makes
 the whole call raise DomainError, and that a scalar comes back as a Python
-float or complex.
+float or complex.  Over tau they check that the measure has unit mass and
+that omega is continuous where its formula or route changes.
 """
 
 import math
@@ -15,10 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logeq.equilibrium import (ON_CUT_TOL, cauchy, density, external_field,
-                               g_function, lebesgue_cauchy, lebesgue_g,
-                               lebesgue_potential, potential, support)
+from logeq.equilibrium import (ON_CUT_TOL, TAU_CRITICAL, _omega_repulsive,
+                               cauchy, density, external_field, g_function,
+                               lebesgue_cauchy, lebesgue_g, lebesgue_potential,
+                               omega, potential, support)
 from logeq.errors import DomainError
+from logeq.oracle import measure_quadrature
+from logeq.specfun import complete_E
 
 # Deterministic runs with no example database: the suite stays
 # reproducible and writes nothing.
@@ -143,3 +148,31 @@ def test_scalar_in_gives_python_scalar_out(tau):
     assert type(lebesgue_potential(0.5)) is float
     assert type(lebesgue_g(2.0)) is complex
     assert type(lebesgue_cauchy(np.float64(2.0))) is complex
+
+
+# |tau| from 1.001 to 1e4 one-cut and from TAU_CRITICAL to 1e5 two-cut, log-spread
+WIDE_TAUS = st.one_of(st.floats(0.0005, 4.0).map(lambda e: -10.0 ** e),
+                      st.floats(-1.0, 1.75),
+                      st.floats(-12.0, 5.0).map(lambda e: TAU_CRITICAL + 10.0 ** e))
+
+
+@PROPERTY
+@given(tau=WIDE_TAUS)
+def test_unit_mass(tau):
+    assert abs(measure_quadrature(tau) - 1.0) <= 1e-10
+
+
+# beta^2 = 0.9, where omega's answering route changes from the series to
+# the integral
+TAU_BAND = 1.0 / (complete_E(math.sqrt(0.9)) - 1.0)
+
+
+@PROPERTY
+@given(where=st.sampled_from([-1.0, TAU_CRITICAL, TAU_BAND]), delta=st.floats(1e-9, 1e-3))
+def test_omega_is_continuous_where_its_route_changes(where, delta):
+    left, right = omega(where - delta), omega(where + delta)
+    # |d omega / d tau| < 0.7 around each point; the routes err by < 1e-12
+    assert abs(right - left) <= 2.0 * delta + 3e-12
+    if where == TAU_BAND:
+        assert _omega_repulsive(where - delta)[0][0] == "series"
+        assert _omega_repulsive(where + delta)[0][0] == "integral"

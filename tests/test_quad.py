@@ -13,7 +13,7 @@ import pytest
 from logeq._quad import composite_nodes, geometric_breaks, gl_map
 from logeq.equilibrium import support
 from logeq.errors import DomainError
-from logeq.oracle import potential_quad
+from logeq.oracle import _edge_segment, potential_quad
 from logeq.specfun import integral_I
 
 
@@ -82,6 +82,19 @@ def test_integral_I_blocks_match_one_broadcast(k):
     assert got.shape == a.shape
     assert np.array_equal(got, ref)
     assert isinstance(integral_I(0.25, k), float)
+
+
+@pytest.mark.parametrize("order", [16, 64])
+def test_edge_segment_integrates_polynomials(order):
+    # one unit-span rule scaled to each segment, on either side of the edge:
+    # in the offset x = t^2 its weights integrate x^k on [0, |inner - edge|]
+    inner = np.array([[0.2, 0.5 + 1e-9], [0.9, 0.7123]])
+    off, s, w = _edge_segment(0.5, inner, order)
+    assert np.all(s[..., 0] == np.where(inner > 0.5, 1.0, -1.0))
+    length = np.abs(inner - 0.5)
+    for k in range(4):
+        exact = length ** (k + 1) / (k + 1)
+        assert np.all(np.abs(np.sum(w * off ** k, axis=-1) - exact) <= 1e-14 * exact)
 
 
 def _probe_points(tau):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from logeq.errors import ConsistencyError, DomainError
-from logeq.equilibrium import TAU_CRITICAL, solve_beta_repulsive
+from logeq.equilibrium import TAU_CRITICAL, omega, solve_beta_repulsive
 from logeq.series import (
     CoeffTable,
     SeriesResult,
@@ -181,6 +181,49 @@ def test_truncation_tolerance_controls_tail():
     # positive terms, ratio <= beta^2: tail below last_term b^2/(1-b^2)
     assert abs(coarse - fine) <= 1e-6
     assert coarse != fine  # the tolerance is actually doing something
+
+
+# Frozen 30-digit omega: the outer integrals of omega_integral's formula by
+# mpmath.quad (tanh-sinh, panels graded toward x = 1 by sqrt(1 - beta)),
+# with J0, J1 in closed form through K, E and Pi on [1, 2] and by their
+# moment series beyond; beta from mpmath.findroot on E = 1 + 1/tau.  At
+# tau <= 1e3 they agree with the coefficient series summed in 40-digit
+# fixed point to all 30 digits.
+OMEGA_REFS = {
+    TAU_CRITICAL + 1e-12: 1.90749833879612752118945367718,
+    3.0: 2.64768404464327821268867468153,
+    9.0: 5.18345753615941118545288633641,
+    12.0: 6.27985047271157676910516056802,
+    30.0: 12.3507633840480158386856000051,
+    80.0: 28.2633401249003579381410944621,
+    1e3: 311.987391132627205568528540522,
+    1e5: 30692.9124871651447063151462647,
+}
+
+
+@pytest.mark.parametrize("tau", sorted(OMEGA_REFS))
+def test_omega_integral_against_frozen_references(tau):
+    ref = OMEGA_REFS[tau]
+    assert abs(omega_integral(tau) - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("tau", sorted(OMEGA_REFS))
+def test_omega_against_frozen_references(tau):
+    ref = OMEGA_REFS[tau]
+    # the series answers to its tail tolerance 1e-12, the integral to ~1e-14
+    assert abs(omega(tau) - ref) <= 1e-12 * max(1.0, ref)
+
+
+def test_series_tail_bound_meets_tol():
+    # the first term below tol leaves a tail up to beta^2/(1 - beta^2) times
+    # larger (9.6 at tau = 10); the sum stops when the tail bound is below tol
+    assert abs(omega_series(10.0, 1e-12).value - 5.5549566653916498997574929766344) <= 1e-12
+
+
+def test_series_refuses_past_its_term_budget():
+    # ~1.5e6 terms at tau = 1e4: refused before any coefficient is built
+    with pytest.raises(DomainError, match="use omega_integral"):
+        omega_series(1e4, 1e-12)
 
 
 def test_omega_domain_errors():
