@@ -27,7 +27,7 @@ import numpy as np
 
 from ._quad import gl_map
 from .errors import ConsistencyError, ConvergenceError, DomainError
-from .specfun import complete_E, complete_K, integral_I
+from .specfun import complete_E, complete_K, integral_I, integral_I_cheb
 
 # Upper boundary of the intermediate regime; 2/(pi-2) ~ 1.7519.
 TAU_CRITICAL = 2.0 / (math.pi - 2.0)
@@ -241,14 +241,22 @@ def _entropy_bracket(x):
 
 
 def _lebesgue_cauchy(z):
-    # (1/2) log((z+1)/(z-1)) as atanh(1/z), which does not cancel at large
-    # |z|; unlike 1/z, np.reciprocal keeps the sign of a zero imaginary part.
-    return np.arctanh(np.reciprocal(z))
+    # (1/2) log((z+1)/(z-1)).  From |z| = 2 on as atanh(1/z), which does not
+    # cancel at large |z|; unlike 1/z, np.reciprocal keeps the sign of a
+    # zero imaginary part.  Closer in as the difference of the logarithms:
+    # 1/z rounds before atanh sees it, which costs ~1e-16/|z - 1| relative
+    # next to an edge.  _shift keeps conjugates conjugate on the real axis.
+    out = np.arctanh(np.reciprocal(z))
+    near = np.abs(z) < 2.0
+    if near.any():
+        zn = z[near]
+        out[near] = 0.5 * (np.log(_shift(zn, 1.0)) - np.log(_shift(zn, -1.0)))
+    return out
 
 
 def _lebesgue_g(z):
-    # The half-difference of the logarithms is atanh(1/z), their half-sum
-    # the logarithm of sqrt_cut(z, 1): no term cancels at large |z|.
+    # The half-difference of the logarithms is _lebesgue_cauchy, their
+    # half-sum the logarithm of sqrt_cut(z, 1): no term cancels at large |z|.
     return z * _lebesgue_cauchy(z) + np.log(_sqrt_cut_arr(z, 1.0)) - 1.0
 
 
@@ -300,7 +308,11 @@ def density(tau: float, x):
 
     Closed forms: arcsine-plus-constant in the intermediate regime, an
     arctangent profile on the single cut in the attractive regime, and an
-    elliptic-kernel profile on the two cuts in the repulsive regime.
+    elliptic-kernel profile on the two cuts in the repulsive regime,
+    (tau/pi) |x| sqrt(x^2 - beta^2)/a I(a, beta) with a = sqrt(1 - x^2).
+    There I comes from the cached per-beta Chebyshev interpolant
+    `integral_I_cheb` (24 quadratures per beta, then a short recurrence per
+    point); the result is good to ~1e-14 relative up to both edges.
     """
     regime = classify_regime(tau)
     sup = support(tau)
@@ -359,7 +371,7 @@ def _repulsive_density(tau: float, beta: float, absx, x2mb2, one_minus):
     # x^2 - beta^2 and 1 - x^2 come formed so that neither cancels near
     # its edge: from an edge offset, or as a difference times a sum.
     a = np.sqrt(one_minus)
-    return (tau / math.pi) * absx * np.sqrt(x2mb2) / a * integral_I(a, beta)
+    return (tau / math.pi) * absx * np.sqrt(x2mb2) / a * integral_I_cheb(a, beta)
 
 
 def edge_coefficient(tau: float, edge: str) -> float:
@@ -370,9 +382,11 @@ def edge_coefficient(tau: float, edge: str) -> float:
     * intermediate, "hard": density * sqrt(1 - x^2) -> (1 + tau)/pi at +-1.
     * repulsive, "hard":    density * sqrt(1 - x^2) -> (tau/pi) K(beta)
       sqrt(1 - beta^2) at +-1.
-    * repulsive, "soft":    density ~ coef * sqrt(x - beta) at beta+; no
-      trustworthy closed form is available, so the constant is estimated
-      numerically by Richardson extrapolation of density(beta + d)/sqrt(d).
+    * repulsive, "soft":    density ~ coef * sqrt(x - beta) at beta+;
+      coef = (tau/pi) beta sqrt(2 beta) I(k', beta)/k', k' = sqrt(1 - beta^2),
+      the density's own limit.  I(k', beta) = (K - E)/beta^2, so this is
+      (tau/pi) (K - E) sqrt(2 beta)/(beta k') without the cancellation of
+      K - E at small beta.
     """
     regime = classify_regime(tau)
     sup = support(tau)
@@ -388,10 +402,8 @@ def edge_coefficient(tau: float, edge: str) -> float:
     if edge == "hard":
         return (tau / math.pi) * complete_K(beta) * math.sqrt(1.0 - beta * beta)
     if edge == "soft":
-        d = 1e-5 * (1.0 - beta)
-        c1 = density(tau, beta + d) / math.sqrt(d)
-        c2 = density(tau, beta + 2.0 * d) / math.sqrt(2.0 * d)
-        return 2.0 * c1 - c2
+        kp = math.sqrt((1.0 - beta) * (1.0 + beta))
+        return (tau / math.pi) * beta * math.sqrt(2.0 * beta) * integral_I(kp, beta) / kp
     raise DomainError(f"unknown edge type {edge!r}")
 
 

@@ -183,15 +183,31 @@ def test_density_rejects_exterior_points():
 # oracle: mpmath (dps 30) quadrature of I(a, beta) in
 # (tau/pi) |x| sqrt(x^2 - beta^2)/a I(a, beta), a = sqrt(1 - x^2), at the
 # double beta = solve_beta_repulsive(tau) and the double points
-# x = beta + 1e-9 (1 - beta) (soft edge) and x = 1 - 1e-9 (1 - beta) (hard
-# edge).  Near the soft edge the density moves by ~(1/2) dbeta/(x - beta)
-# relative, so the references hold for this beta only.
+# x = beta + f (1 - beta), f = 1e-9 (soft edge), 1e-3, 1/2, 1 - 1e-3 and
+# 1 - 1e-9 (hard edge); checked against K + (a^2/x^2) Pi(beta^2/x^2, beta)
+# - a pi/(2 x sqrt(x^2 - beta^2)) at 60 digits.  Near the soft edge the
+# density moves by ~(1/2) dbeta/(x - beta) relative, so the references hold
+# for this beta only.
 DENSITY_EDGE_REFS = [
     (2.0, 0.4172994302156365, 0.41729943079833703, 5.4351344972890271e-6),
+    (2.0, 0.4172994302156365, 0.41788213078542086, 0.0054470116987482514),
+    (2.0, 0.4172994302156365, 0.7086497151078182, 0.34657092969394545),
+    (2.0, 0.4172994302156365, 0.9994172994302155, 26.912754442721611),
     (2.0, 0.4172994302156365, 0.9999999994172994, 27907.770374770345),
     (10.0, 0.9517291058103534, 0.9517291058586244, 0.00015731727048091435),
+    (10.0, 0.9517291058103534, 0.9517773767045431, 0.15743067955655857),
+    (10.0, 0.9517291058103534, 0.9758645529051767, 5.6765666820953873),
+    (10.0, 0.9517291058103534, 0.9999517291058103, 254.11898730629294),
     (10.0, 0.9517291058103534, 0.9999999999517291, 259143.94795669119),
+    (100.0, 0.9971146047298584, 0.9971146047327437, 0.0029846953002307487),
+    (100.0, 0.9971146047298584, 0.9971174901251285, 2.986544286767466),
+    (100.0, 0.9971146047298584, 0.9985573023649292, 101.22738032472057),
+    (100.0, 0.9971146047298584, 0.9999971146047298, 3941.0312608029483),
+    (100.0, 0.9971146047298584, 0.9999999999971146, 3991997.0945983115),
     (1e3, 0.9997906007088883, 0.9997906007090976, 0.043035618202244716),
+    (1e3, 0.9997906007088883, 0.9997908101081794, 43.061665448650934),
+    (1e3, 0.9997906007088883, 0.9998953003544442, 1429.2604437133546),
+    (1e3, 0.9997906007088883, 0.9999997906007089, 52586.650002514018),
     (1e3, 0.9997906007088883, 0.9999999999997906, 53104065.044030393),
 ]
 
@@ -243,6 +259,25 @@ def test_edge_coefficient_repulsive_soft():
     c = edge_coefficient(tau, "soft")
     d = 1e-8
     assert abs(density(tau, b + d) / math.sqrt(d) - c) <= 1e-4 * c
+
+
+# oracle: mpmath (dps 40) (tau/pi) (K - E)/(beta k') sqrt(2 beta),
+# k' = sqrt(1 - beta^2), at the double beta = solve_beta_repulsive(tau); at
+# tau = 1e5 one ulp of beta moves the constant by ~4e-11 relative, so the
+# references hold for this beta only
+SOFT_EDGE_REFS = [
+    (TAU_CRITICAL + 1e-3, 0.02879343980596624, 0.0030302409291194399),
+    (2.0, 0.4172994302156365, 0.22515810193765068),
+    (10.0, 0.9517291058103534, 22.642976283013684),
+    (1e3, 0.9997906007088883, 94048.54619148237),
+    (1e5, 0.9999986281442431, 184513026.38859188),
+]
+
+
+@pytest.mark.parametrize("tau,beta,ref", SOFT_EDGE_REFS)
+def test_edge_coefficient_repulsive_soft_reference(tau, beta, ref):
+    assert solve_beta_repulsive(tau) == beta
+    assert abs(edge_coefficient(tau, "soft") - ref) <= 1e-13 * ref
 
 
 def test_edge_coefficient_wrong_edge_rejected():
@@ -478,6 +513,20 @@ def test_potential_just_outside_a_support_edge(tau, edge, ref):
         assert abs(v - potential(tau, edge)) <= 1e-12
     else:  # a hard edge: it falls like sqrt(x - 1)
         assert abs(v - ref) <= 1e-13
+
+
+@pytest.mark.parametrize("x,ref", [
+    # frozen: 40-digit mpmath of the closed forms at the float x, tau = 0.5
+    (1.0 + 5e-14, 0.88629388696824856),
+    (1.0 + 1e-12, 0.88629223971258752),
+    (1.0 + 1e-8, 0.88608227937092557),
+    (1.0 - 1e-8, 0.88629431083532057),
+    (1.0 + 1e-4, 0.86535392227081626),
+    (-1.0 - 1e-8, 0.88608227937092557),
+])
+def test_potential_next_to_a_hard_edge(x, ref):
+    # -Re g loses nothing to the rounding of 1/x just outside the edge
+    assert abs(potential(0.5, x) - ref) <= 2e-15 * ref
 
 
 # ---------------------------------------------------------------------------

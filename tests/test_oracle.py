@@ -247,7 +247,7 @@ def test_verify_spread_repulsive():
     assert verify(2.0).cross_route_omega_spread <= 1e-8
 
 
-@pytest.mark.parametrize("tau", [9.0, 10.0, 12.0])
+@pytest.mark.parametrize("tau", [9.0, 10.0, 12.0, 1e3])
 def test_verify_passes_on_narrow_two_cut_pieces(tau):
     # the boundary-value offsets scale with the piece width 1 - beta
     rep = verify(tau)
@@ -346,3 +346,28 @@ def test_verify_batches_its_quadrature_points(monkeypatch):
                         lambda tau, z: calls.append(np.size(z)) or real(tau, z))
     assert verify(-2.0).passes
     assert calls == [200, 200, 1]
+
+
+def test_two_cut_quadrature_builds_one_I_table_per_tau(monkeypatch):
+    # the two-cut density reads I(a, beta) from a 24-term interpolant built
+    # once per beta, not from a quadrature per node: at a fresh tau, 10 000
+    # density points and 200 potential points cost 24 integral_I points
+    import logeq.equilibrium as equilibrium_mod
+    import logeq.specfun as specfun_mod
+    points = []
+    real = specfun_mod.integral_I
+
+    def counted(a, k):
+        points.append(np.size(a))
+        return real(a, k)
+
+    monkeypatch.setattr(specfun_mod, "integral_I", counted)
+    monkeypatch.setattr(equilibrium_mod, "integral_I", counted)
+    density(2.0, 0.7)  # warm-up
+    potential_quad(2.0, 0.7)
+    points.clear()
+    tau = 3.0 + 1e-7 * math.pi  # a beta no other test builds a table for
+    beta = support(tau).beta
+    density(tau, np.linspace(beta, 1.0, 10_002)[1:-1])
+    potential_quad(tau, np.linspace(-1.5, 1.5, 200) + 0.01j * (np.arange(200) % 3))
+    assert 0 < sum(points) <= 24

@@ -9,7 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from logeq.specfun import complete_E, complete_K, hyp2F1_ck, integral_I
+from logeq.equilibrium import TAU_CRITICAL, solve_beta_repulsive
+from logeq.specfun import (complete_E, complete_K, hyp2F1_ck, integral_I,
+                           integral_I_cheb)
 
 BETA2 = 0.41729943021563715
 
@@ -77,6 +79,20 @@ def test_integral_I_vectorized():
     assert vals.shape == (3,)
     for ai, vi in zip(a, vals):
         assert abs(integral_I(float(ai), BETA2) - vi) == 0.0
+
+
+@pytest.mark.parametrize("tau", [TAU_CRITICAL + 1e-12, TAU_CRITICAL + 1e-3, 2.0,
+                                 9.55, 100.0, 1e3, 1e5])
+def test_integral_I_cheb_matches_the_quadrature(tau):
+    # the support range a in [0, k'] of the two-cut density, densely, for
+    # beta from ~1e-6 up to 1 - 1.4e-6; tau = 1e3 and 1e5 put beta above
+    # 0.999, where integral_I switches to panels
+    k = solve_beta_repulsive(tau)
+    a = np.linspace(0.0, math.sqrt((1.0 - k) * (1.0 + k)), 4001)
+    ref = integral_I(a, k)
+    assert np.all(np.abs(integral_I_cheb(a, k) - ref) <= 1e-14 * ref)
+    got = integral_I_cheb(float(a[1234]), k)
+    assert type(got) is float and got == integral_I_cheb(a[1234:1235], k)[0]
 
 
 # oracle: mpmath.hyp2f1(-1/2, (k+1)/2, k/2 + 1, m), dps=30
