@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from logeq.equilibrium import TAU_CRITICAL, solve_beta_repulsive
-from logeq.specfun import (complete_E, complete_K, hyp2F1_ck, integral_I,
-                           integral_I_cheb)
+from logeq.specfun import (_cache_line_rows, complete_E, complete_K, hyp2F1_ck,
+                           integral_I, integral_I_cheb)
 
 BETA2 = 0.41729943021563715
 
@@ -93,6 +93,20 @@ def test_integral_I_cheb_matches_the_quadrature(tau):
     assert np.all(np.abs(integral_I_cheb(a, k) - ref) <= 1e-14 * ref)
     got = integral_I_cheb(float(a[1234]), k)
     assert type(got) is float and got == integral_I_cheb(a[1234:1235], k)[0]
+
+
+def test_integral_I_cheb_shapes_and_aligned_scratch():
+    # the recurrence runs in scratch rows that each start on a cache line,
+    # whatever the point count; the result keeps the shape of `a`
+    for n in (1, 7, 8, 9, 5376):
+        rows = _cache_line_rows(5, n)
+        assert rows.shape == (5, n)
+        assert all(row.ctypes.data % 64 == 0 for row in rows)
+    k = 0.6
+    a = np.linspace(0.0, 0.8, 35).reshape(5, 7)
+    got = integral_I_cheb(a, k)
+    assert got.shape == (5, 7) and integral_I_cheb(a[:0], k).shape == (0, 7)
+    assert np.array_equal(got.ravel(), integral_I_cheb(a.ravel(), k))
 
 
 # oracle: mpmath.hyp2f1(-1/2, (k+1)/2, k/2 + 1, m), dps=30
