@@ -150,7 +150,12 @@ def support(tau: float) -> Support:
     if regime is Regime.INTERMEDIATE:
         return Support(SupportShape.FULL_INTERVAL, 1.0)
     if regime is Regime.ATTRACTIVE:
-        beta = math.sqrt(1.0 - _attractive_kc(tau) ** 2)
+        # beta^2 = 1 - ((1 + tau)/tau)^2 = a (2 - a) with a = -1/tau: the
+        # difference 1 - s^2 cancels as tau -> -inf, and rounds to 0 from
+        # tau ~ -9e15 on, where beta ~ sqrt(2/|tau|) is a normal double.
+        # Next to tau = -1 the product rounds to at most 1, as beta must.
+        a = -1.0 / tau
+        beta = math.sqrt(a * (2.0 - a))
         return Support(SupportShape.ONE_CUT, beta)
     return Support(SupportShape.TWO_CUT, solve_beta_repulsive(tau))
 
@@ -320,8 +325,11 @@ def density(tau: float, x):
     shape = np.shape(x)
     arr = np.asarray(x, dtype=float).ravel()
 
-    lo, hi = np.array(sup.pieces).T
-    ok = np.any((lo < arr[:, None]) & (arr[:, None] < hi), axis=-1)
+    # one 1-D test per piece: np.any over a short last axis costs as much
+    # as the two-cut density itself
+    ok = np.zeros(arr.shape, bool)
+    for lo, hi in sup.pieces:
+        ok |= (lo < arr) & (arr < hi)
     if not ok.all():
         bad = arr[~ok][0]
         raise DomainError(f"x={bad!r} is outside the open support interior at tau={tau!r}")
@@ -465,6 +473,11 @@ def _cauchy_repulsive(tau: float, beta: float, z):
     r = _sqrt_cut_arr(z, beta)
     out[~gap] = (0.5 * tau * (r / _sqrt_cut_arr(z, 1.0)) * _gap_kernel_integral(z, beta, r)
                  - tau * _lebesgue_cauchy(z))
+    # Real on the real axis outside [-1, 1] (Schwarz reflection), where the
+    # near branch of the kernel integral cancels two imaginary terms only
+    # to rounding.
+    axis = (z.imag == 0.0) & (np.abs(z.real) > 1.0)
+    out.imag[np.flatnonzero(~gap)[axis]] = 0.0
     return out
 
 

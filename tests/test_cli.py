@@ -83,6 +83,12 @@ def test_cauchy_json_round_trip():
     assert payload["cauchy_im"] == ref.imag
 
 
+def test_two_cut_cauchy_is_real_on_the_axis():
+    rc, out, _ = run_cli("cauchy", "--tau", "3", "--re", "1.5")
+    assert rc == 0
+    assert parse_json(out)["cauchy_im"] == 0.0
+
+
 def test_potential_x_shorthand_is_byte_identical():
     rc1, out1, _ = run_cli("potential", "--tau", "0", "--x", "0.25")
     rc2, out2, _ = run_cli("potential", "--tau", "0", "--re", "0.25")

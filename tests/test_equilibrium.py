@@ -65,6 +65,36 @@ def test_attractive_beta_closed_form():
     assert support(-2.0).beta == math.sqrt(3.0) / 2.0
 
 
+# oracle: mpmath (dps 40) sqrt(-(2 tau + 1))/(-tau) at the float tau
+ATTRACTIVE_BETA_REFS = [
+    (-1.0001, 0.9999999950009998),
+    (-1.5, 0.9428090415820634),
+    (-3.0, 0.7453559924999299),
+    (-10.0, 0.43588989435406733),
+    (-1e3, 0.04471017781221631),
+    (-1e8, 0.0001414213558837561),
+    (-1e10, 1.4142135623377398e-05),
+    (-1e12, 1.4142135623727415e-06),
+    (-4e15, 2.2360679774997895e-08),
+    (-1e16, 1.414213562373095e-08),
+    (-1e100, 1.414213562373095e-50),
+    (-1e300, 1.414213562373095e-150),
+]
+
+
+@pytest.mark.parametrize("tau,ref", ATTRACTIVE_BETA_REFS)
+def test_attractive_beta_mpmath_reference(tau, ref):
+    # 1 - ((1+tau)/tau)^2 cancels as tau -> -inf (1e-5 relative at -1e12)
+    # and rounds to 0 from ~ -9e15 on
+    assert abs(support(tau).beta - ref) <= 4.5e-16 * ref
+
+
+@pytest.mark.parametrize("tau", [-1e8, -1e10, -1e12, -1e16, -1e300])
+def test_attractive_mass_at_large_negative_tau(tau):
+    from logeq.oracle import measure_quadrature
+    assert abs(measure_quadrature(tau) - 1.0) <= 1e-13
+
+
 def test_repulsive_beta_reference():
     assert abs(solve_beta_repulsive(2.0) - BETA2_REF) <= 1e-13
     assert abs(solve_beta_repulsive(5.0) - BETA5_REF) <= 1e-13
@@ -380,6 +410,21 @@ def test_cauchy_rejects_cut_points():
     # the two-cut gap is legal real ground
     assert abs(cauchy(2.0, 0.0)) <= 1e-12   # odd function on the gap
     assert cauchy(2.0, 0.2).imag == 0.0
+
+
+@pytest.mark.parametrize("tau", [3.0, 10.0])
+def test_cauchy_real_outside_the_interval(tau):
+    # Schwarz reflection: real on the real axis off [-1, 1], exactly, as in
+    # the other regimes; the near branch of the kernel integral cancels two
+    # imaginary terms there
+    xs = [1.5, -1.5, 1.05, -1.05, 1.9, 2.5, -40.0]
+    for x in xs:
+        assert cauchy(tau, x).imag == 0.0
+        assert cauchy(tau, complex(x, -0.0)).imag == 0.0
+    vals = cauchy(tau, np.array(xs + [1.5 + 1e-3j]))
+    assert np.all(vals[:-1].imag == 0.0)
+    assert np.all(vals[:-1].real == [cauchy(tau, x).real for x in xs])
+    assert vals[-1].imag < 0.0
 
 
 def test_cauchy_repulsive_gap_continuity():

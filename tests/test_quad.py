@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from logeq._quad import composite_nodes, geometric_breaks, gl_map
-from logeq.equilibrium import support
+from logeq.equilibrium import (TAU_CRITICAL, external_field, omega, potential,
+                               support)
 from logeq.errors import DomainError
-from logeq.oracle import _edge_segment, potential_quad
+from logeq.oracle import (_edge_segment, _product_log_rule, _support_grid,
+                          potential_quad)
 from logeq.specfun import integral_I
 
 
@@ -147,3 +149,88 @@ def test_potential_quad_far_points(tau):
     zs = np.array([1e99, -1e100, 1e200j, 1.7e308])
     got = potential_quad(tau, zs)
     assert np.all(np.abs(got + np.log(np.abs(zs))) <= 1e-12 * np.abs(got))
+
+
+def test_product_log_rule_integrates_log_moments():
+    # exact for p(u) log u with deg p < 24: ∫_0^1 u^k log u du = -1/(k+1)^2
+    u, w, v = _product_log_rule()
+    assert u.shape == w.shape == v.shape == (24,)
+    for k in range(24):
+        assert abs(np.sum(v * u ** k) + 1.0 / (k + 1) ** 2) <= 1e-15, k
+        assert abs(np.sum(w * u ** k) - 1.0 / (k + 1)) <= 1e-15, k
+
+
+@pytest.mark.parametrize("tau", [-1.001, -2.0, -8.0, -0.5, 0.5, TAU_CRITICAL])
+def test_potential_quad_on_the_support_matches_closed_form(tau):
+    # the product rule takes the log point exactly, also 1e-10 from a hard
+    # edge, where the density is largest
+    sup = support(tau)
+    lo, hi = sup.pieces[0]
+    xs = np.concatenate([_support_grid(sup, 200, 1e-3), [lo + 1e-10, hi - 1e-10]])
+    err = np.abs(potential_quad(tau, xs) - potential(tau, xs))
+    assert np.max(err) <= 1e-11 * max(1.0, abs(tau))
+
+
+@pytest.mark.parametrize("tau", [-1.001, -2.0, -0.5, TAU_CRITICAL])
+def test_potential_quad_next_to_the_axis(tau):
+    # complex points over a piece grade down to |Im z| and take the plain
+    # rule innermost.  Below Im z = 1e-13 the closed form reads the point
+    # as on the cut, which moves it by ~pi density |Im z|.  The last two
+    # stop the grading at its cap, one of them subnormal.
+    xs = _support_grid(support(tau), 20, 1e-3)
+    for eps in np.append(10.0 ** -np.arange(2, 16), [1e-300, 1e-320]):
+        z = xs + 1j * eps
+        err = np.abs(potential_quad(tau, z) - potential(tau, z))
+        assert np.max(err) <= 1e-10, eps
+
+
+def test_two_cut_flatness_next_to_the_edges():
+    tau = 3.0
+    w = omega(tau)
+    xs = []
+    for lo, hi in support(tau).pieces:
+        for off in (1e-9, 1e-6):
+            xs += [lo + off, hi - off]
+        # one ulp inside: every node stays off the edge
+        xs += [np.nextafter(lo, hi), np.nextafter(hi, lo)]
+    xs = np.array(xs)
+    assert np.max(np.abs(potential_quad(tau, xs) + external_field(tau, xs) - w)) <= 1e-10
+
+
+def _count_density_points(monkeypatch):
+    import logeq.oracle as oracle_mod
+    counts = {"density": 0, "all": 0}
+    real_density, real_offset = oracle_mod.density, oracle_mod._density_offset
+
+    def density(tau, x):
+        counts["density"] += np.size(x)
+        counts["all"] += np.size(x)
+        return real_density(tau, x)
+
+    def offset(tau, edge, off):
+        counts["all"] += np.size(off)
+        return real_offset(tau, edge, off)
+
+    monkeypatch.setattr(oracle_mod, "density", density)
+    monkeypatch.setattr(oracle_mod, "_density_offset", offset)
+    return counts
+
+
+def test_potential_quad_density_evaluations(monkeypatch):
+    # A point on a piece pays for its own rule only: ~860 density values,
+    # two edge rules of 336 and ~190 on the graded and product panels, of
+    # which none through the public density.  Points off a piece share its
+    # rule, so the gap grid costs the same for 20 points as for 200.
+    counts = _count_density_points(monkeypatch)
+    tau = 3.0 + 1e-7 * math.pi
+    sup = support(tau)
+    potential_quad(tau, _support_grid(sup, 200, 1e-3))
+    assert counts["density"] <= 250 * 200
+    assert counts["all"] <= 1000 * 200
+    gap = []
+    for n in (20, 200):
+        counts["all"] = 0
+        beta = sup.beta
+        potential_quad(tau, np.linspace(-0.999 * beta, 0.999 * beta, n))
+        gap.append(counts["all"])
+    assert 0 < gap[0] == gap[1]
