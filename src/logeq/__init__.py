@@ -27,10 +27,9 @@ from .errors import ConsistencyError, ConvergenceError, DomainError
 from .oracle import (DiscreteSolution, GridMeasure, VerificationReport,
                      discrete_minimize, measure_quadrature, potential_quad,
                      pv_integral, verify)
-from .series import (CoeffTable, SeriesResult, c_closed_form, c_quadrature,
-                     c_recurrence, check_initial_coeff, omega_integral,
-                     omega_series)
-from .specfun import complete_E, complete_K, hyp2F1_ck, integral_I
+from .series import (CoeffTable, SeriesResult, c_quadrature, c_recurrence,
+                     check_initial_coeff, omega_integral, omega_series)
+from .specfun import complete_E, complete_K, integral_I
 
 __all__ = [
     "ON_CUT_TOL", "TAU_CRITICAL",
@@ -41,10 +40,10 @@ __all__ = [
     "density", "edge_coefficient", "cauchy", "g_function", "potential",
     "omega", "report",
     "CoeffTable", "SeriesResult", "c_quadrature", "check_initial_coeff",
-    "c_closed_form", "c_recurrence", "omega_series", "omega_integral",
+    "c_recurrence", "omega_series", "omega_integral",
     "GridMeasure", "DiscreteSolution", "VerificationReport", "pv_integral",
     "measure_quadrature", "potential_quad", "discrete_minimize", "verify",
-    "complete_K", "complete_E", "integral_I", "hyp2F1_ck",
+    "complete_K", "complete_E", "integral_I",
     "DomainError", "ConsistencyError", "ConvergenceError",
 ]
 

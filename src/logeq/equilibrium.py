@@ -563,7 +563,7 @@ def potential(tau: float, z):
 
 
 # Up to this beta^2 (tau ~ 9.55) the series answers, checked by the integral
-# route; it needs ~230 terms there and its cost grows like (1 - beta^2)^-2.
+# route; it needs ~270 terms there and its cost grows like (1 - beta^2)^-1.
 # Above, the integral answers, checked by the flatness of the potential.
 _SERIES_MAX_B2 = 0.9
 
@@ -584,7 +584,7 @@ def _omega_repulsive(tau: float) -> tuple[tuple[str, float], tuple[str, float]]:
     from .series import omega_integral, omega_series
     beta = solve_beta_repulsive(tau)
     if beta * beta <= _SERIES_MAX_B2:
-        return ("series", omega_series(tau, 1e-12).value), ("integral", omega_integral(tau))
+        return ("series", omega_series(tau, 1e-14).value), ("integral", omega_integral(tau))
     from .oracle import potential_quad
     value = omega_integral(tau)
     x = beta + (1.0 - beta) * _FLATNESS_POINTS

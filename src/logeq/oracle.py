@@ -143,11 +143,16 @@ _LOG_ORDER = 24
 # the plain rule, then carries less than 1e-16 of the potential.
 _MAX_DEPTH = 60
 
+# Halvings of the edge rule toward its edge: its innermost panel, [0, h] in
+# t, ends at 2^-20 of the span.
+_EDGE_PANELS = 20
+
 
 @lru_cache(maxsize=4)
 def _unit_edge_rule(order: int):
     """Nodes and weights of the edge rule for span 1 (read-only, cached)."""
-    t, w = composite_nodes(geometric_breaks(0.0, 1.0, toward=0.0, n_panels=20), order)
+    t, w = composite_nodes(geometric_breaks(0.0, 1.0, toward=0.0, n_panels=_EDGE_PANELS),
+                           order)
     t.flags.writeable = w.flags.writeable = False
     return t, w
 
@@ -241,6 +246,46 @@ def _edge_sums(edge: float, off, s, w, z: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(d2, axis=-1)
 
 
+def _graded_toward_zero(span, target):
+    """A rule on [0, span] (one row per entry of span) for a log singularity
+    within `target` of 0, as (r, w, w_log): 16-node panels halve toward 0
+    until the innermost, [0, h], is no longer than target (at most
+    _MAX_DEPTH times), and [0, h] takes the _LOG_ORDER nodes of
+    _product_log_rule, first in each row.  w holds the plain weights, w_log
+    the product weights of log r on [0, h]."""
+    # a difference of logarithms: span / target overflows for a subnormal target
+    depth = np.clip(np.ceil(np.log2(span) - np.log2(target)), 0, _MAX_DEPTH).astype(int)
+    h = span * 0.5 ** depth
+    # zero-width panels at h pad the rows that need fewer halvings
+    breaks = np.maximum(geometric_breaks(0.0, span, toward=0.0, n_panels=depth),
+                        h[..., None])
+    r, w = composite_nodes(breaks, 16)
+    u, w_in, v_in = _product_log_rule()
+    h = h[..., None]
+    r = np.concatenate((h * u, r), axis=-1)
+    w = np.concatenate((h * w_in, w), axis=-1)
+    return r, w, h * (w_in * np.log(h) + v_in)
+
+
+def _edge_panel_sums(tau: float, edge: float, s, h: float, z: np.ndarray) -> np.ndarray:
+    """Quadrature of log|z - x| over the innermost panel of an edge rule,
+    x = edge + s t^2 for t in [0, h], for points z off the piece within h^2
+    of the edge.  There the kernel is singular at |t| = sqrt|z - edge|, inside
+    the panel, where its plain 16 nodes miss it (by 3e-9 at the edge itself).
+    Here panels halve toward t = 0 down to that distance; a point on the edge
+    takes log t^2 by product weights, the density 2t rho(t^2) being smooth in
+    t at every edge."""
+    zeta = z - edge
+    at_edge = np.abs(zeta) == 0.0
+    # a point on the edge needs no halving: the product weights take it
+    t, w, w_log = _graded_toward_zero(np.full(z.shape, h),
+                                      np.sqrt(np.where(at_edge, h * h, np.abs(zeta))))
+    off = t * t
+    w *= 0.5 * np.log((s * off - zeta.real[:, None]) ** 2 + (zeta.imag ** 2)[:, None])
+    w[:, :_LOG_ORDER] = np.where(at_edge[:, None], 2.0 * w_log, w[:, :_LOG_ORDER])
+    return np.sum(2.0 * t * w * _density_offset(tau, edge, off), axis=-1)
+
+
 def _on_piece_sums(tau: float, near: float, far: float, z: np.ndarray) -> np.ndarray:
     """Quadrature of log|z - x| over the support piece between the edges
     `near` and `far`, for points whose real part x* lies inside it, at
@@ -262,21 +307,9 @@ def _on_piece_sums(tau: float, near: float, far: float, z: np.ndarray) -> np.nda
     dist = np.stack((delta, np.abs(far - z.real)))
     target = np.where(z.imag == 0.0, delta, np.minimum(delta, np.abs(z.imag)))
     half = 0.5 * dist
-    # a difference of logarithms: half / target overflows for a subnormal Im z
-    depth = np.clip(np.ceil(np.log2(half) - np.log2(target)), 0, _MAX_DEPTH).astype(int)
-    h = half * 0.5 ** depth
-    # zero-width panels at h pad the rows that need fewer halvings
-    breaks = np.maximum(geometric_breaks(0.0, half, toward=0.0, n_panels=depth),
-                        h[..., None])
-    r, w = composite_nodes(breaks, 16)
+    r, w, w_log = _graded_toward_zero(half, target)
     w *= 0.5 * np.log(r * r + y2)
-    u, w_in, v_in = _product_log_rule()
-    h = h[..., None]
-    r_in = h * u
-    w_in = h * np.where(y2 == 0.0, w_in * np.log(h) + v_in,
-                        w_in * (0.5 * np.log(r_in * r_in + y2)))
-    r = np.concatenate((r_in, r), axis=-1)
-    w = np.concatenate((w_in, w), axis=-1)
+    w[..., :_LOG_ORDER] = np.where(y2 == 0.0, w_log, w[..., :_LOG_ORDER])
     off, w_edge = _edge_rule(half)
     w_edge *= 0.5 * np.log((dist[..., None] - off) ** 2 + y2)
     delta = delta[:, None]
@@ -290,8 +323,10 @@ def _log_kernel_sums(tau: float, sup: Support, z: np.ndarray) -> np.ndarray:
     """Quadrature of log|z - x| against the measure, for each point of z (1-D).
 
     Points off a piece share its two edge segments to its midpoint, built
-    once per call and only if some point needs them; points on a piece get
-    their own rule (_on_piece_sums), taken in two groups by the nearer edge."""
+    once per call and only if some point needs them, and the few within the
+    innermost panel's reach of an edge trade that panel for their own
+    (_edge_panel_sums); points on a piece get their own rule
+    (_on_piece_sums), taken in two groups by the nearer edge."""
     total = np.zeros(z.shape)
     for lo, hi in sup.pieces:
         on = (lo < z.real) & (z.real < hi)
@@ -306,6 +341,15 @@ def _log_kernel_sums(tau: float, sup: Support, z: np.ndarray) -> np.ndarray:
                 idx = outside[i:i + _Z_CHUNK]
                 for row in rows:
                     total[idx] += _edge_sums(*row, z[idx])
+            for edge, off, s, w in rows:
+                # the innermost panel of this edge rule: [0, h] in t, its
+                # first 16 nodes
+                h = math.sqrt(abs(mid - edge)) * 0.5 ** _EDGE_PANELS
+                close = outside[np.abs(z[outside] - edge) < h * h]
+                for i in range(0, close.size, _Z_CHUNK):
+                    idx = close[i:i + _Z_CHUNK]
+                    total[idx] += (_edge_panel_sums(tau, edge, s, h, z[idx])
+                                   - _edge_sums(edge, off[:16], s, w[:16], z[idx]))
         for near, far, side in ((lo, hi, z.real <= mid), (hi, lo, z.real > mid)):
             inside = np.flatnonzero(on & side)
             for i in range(0, inside.size, _Z_CHUNK):
@@ -321,7 +365,9 @@ def potential_quad(tau: float, z):
     array of its shape).  Square-root substitutions take the edges; a point
     whose real part lies on a piece splits it there, with panels graded
     toward the split and a product rule for the log singularity at a real
-    point (_on_piece_sums); points off a piece share one rule for it.
+    point (_on_piece_sums); points off a piece share one rule for it, save
+    its innermost edge panel for a point closer to that edge than 2^-40 of
+    the half-piece, on the edge too (_edge_panel_sums).
     Against the closed forms (tau from -8 to 2/(pi - 2)) the error is
     ~4e-16 max(1, |tau|) on the support, up to 1e-13 from an edge, and
     ~1e-15 off it, 2.3e-13 at complex points within 1e-2 of an edge; in

@@ -6,9 +6,10 @@ whose coefficients c_k are moments of sqrt((1 - beta^2 s^2)/(1 - s^2)), and
 a direct double-integral route.  Their agreement is the main correctness
 check for this regime.
 
-Coefficients come from three mutually checking sources: a three-term
-recurrence (fast, but unstable forward for small beta), a Gauss
-hypergeometric closed form, and direct quadrature of the defining integral.
+Coefficients come from Miller's backward run of their three-term
+recurrence, normalised by the closed forms of c_0 and c_1; direct
+quadrature of the defining integral gates those two closed forms and is
+the in-package reference for every c_k.
 """
 
 from __future__ import annotations
@@ -22,19 +23,20 @@ import numpy as np
 from ._quad import composite_nodes, geometric_breaks, gl_map
 from .equilibrium import Regime, classify_regime, solve_beta_repulsive
 from .errors import ConsistencyError, DomainError
-from .specfun import complete_E, complete_K, hyp2F1_ck
+from .specfun import complete_E
 
-# Relative tolerance at which two coefficient routes are declared
-# inconsistent (the constructor gate and the recurrence checkpoints).
+# Relative tolerance at which a closed-form coefficient is declared
+# inconsistent with its defining integral.
 _COEFF_RTOL = 1e-8
 
-# The recurrence divides by beta^2; at or below this beta^2 the closed form
-# gives the coefficients instead.
-_RECURRENCE_MIN_B2 = 1e-10
+# Longest backward run c_recurrence takes on.  omega_series needs ~40 000
+# steps at its term budget; a loose tolerance at large tau would ask for
+# millions (-39/log(beta) past K) with only a few terms to sum.
+_RECURRENCE_MAX_STEPS = 100_000
 
 # Largest term count omega_series takes on.  Its estimate is 6 636 at
-# tau = 100 and grows like 1/(1 - beta^2), as does the cost of each
-# closed-form coefficient (14 s at tau = 100 on a 2-vCPU machine).
+# tau = 100 and grows like 1/(1 - beta^2), as does the length of the
+# backward recurrence behind it (~20 ms at tau = 100 on a 2-vCPU machine).
 _SERIES_MAX_TERMS = 10_000
 
 
@@ -108,13 +110,13 @@ def check_initial_coeff(beta: float, k: int, value: float) -> float:
     return value
 
 
-def c_init(beta: float, tau: float) -> tuple[float, float, float]:
-    """Closed forms for c_0, c_1, c_2, each gated against quadrature.
+def c_init(beta: float, tau: float) -> tuple[float, float]:
+    """Closed forms for c_0 and c_1, each gated against quadrature.
 
     Requires tau and beta to describe the same equilibrium, i.e.
     E(beta) = 1 + 1/tau within 1e-9.  Note the logarithm coefficient in
-    c_1 is (1 - beta^2)/(4 beta): the 1/4 is forced by both the beta -> 0
-    limit c_1 -> 1 and the hypergeometric closed form.
+    c_1 is (1 - beta^2)/(4 beta): the 1/4 is forced by the beta -> 0 limit
+    c_1 -> 1.
     """
     if not (0.0 < beta < 1.0):
         raise DomainError(f"beta={beta!r} outside (0, 1)")
@@ -122,69 +124,56 @@ def c_init(beta: float, tau: float) -> tuple[float, float, float]:
         raise DomainError(
             f"tau={tau!r} and beta={beta!r} are inconsistent: "
             f"E(beta)={complete_E(beta)!r} != 1 + 1/tau = {1.0 + 1.0 / tau!r}")
-    b2 = beta * beta
-    e, kk = complete_E(beta), complete_K(beta)
-    c0 = e
+    c0 = complete_E(beta)
     # log((1+b)/(1-b)) = 2 atanh(b), |1/4 coefficient| -> 1/2 atanh prefactor.
-    c1 = 0.5 + (1.0 - b2) / (2.0 * beta) * math.atanh(beta)
-    # The E/K form of c_2 divides an O(beta^2) combination of O(1) terms by
-    # 3 beta^2, losing ~16 - 2 log10(1/beta) digits; below beta = 0.02 the
-    # equivalent hypergeometric form is used instead.
-    if beta >= 0.02:
-        c2 = ((2.0 * b2 - 1.0) * e + (1.0 - b2) * kk) / (3.0 * b2)
-    else:
-        c2 = c_closed_form(beta, 2)
-    for k, val in ((0, c0), (1, c1), (2, c2)):
+    c1 = 0.5 + (1.0 - beta * beta) / (2.0 * beta) * math.atanh(beta)
+    for k, val in ((0, c0), (1, c1)):
         check_initial_coeff(beta, k, val)
-    return c0, c1, c2
-
-
-def c_closed_form(beta: float, k: int) -> float:
-    """Hypergeometric closed form for c_k, stable at every k.
-
-    c_k = sqrt(pi) Gamma((k+1)/2) / (2 Gamma(k/2 + 1)) * 2F1(-1/2, (k+1)/2;
-    k/2 + 1; beta^2); the Gamma ratio is evaluated in log space.
-    """
-    pref = math.exp(0.5 * math.log(math.pi) + math.lgamma(0.5 * (k + 1))
-                    - math.log(2.0) - math.lgamma(0.5 * k + 1.0))
-    return pref * hyp2F1_ck(k, beta * beta)
+    return c0, c1
 
 
 def c_recurrence(beta: float, tau: float, K: int) -> CoeffTable:
-    """Coefficient table c_0..c_K by forward three-term recurrence.
+    """Coefficient table c_0..c_K by Miller's backward recurrence.
 
-    The recurrence is exact but amplifies roundoff by a factor ~ 1/beta^2
-    per step, so every 10th coefficient is checkpointed against the
-    hypergeometric closed form at relative 1e-8.  A failed checkpoint
-    invalidates its whole unvalidated block (error growth is monotone
-    across a block, so the checkpoint is the block's worst entry only when
-    it passes); from the start of that block onward the table is filled
-    directly from the closed form instead.
+    c_k is the minimal solution of
+
+        beta^2 (k+3) c_{k+2} = [k + beta^2 (k+2)] c_k - (k-1) c_{k-2}:
+
+    the other solution grows like beta^-k, so run forward the recurrence
+    gains ~1/beta^2 of roundoff per step.  Run backward it divides only by
+    k - 1 and is stable at every beta (W. Gautschi, "Computational aspects
+    of three-term recurrence relations", SIAM Review 9, 1967).  It runs on
+    the differences d_k = c_k - c_{k+2} > 0,
+
+        (k-1) d_{k-2} = (1 - beta^2) c_k + beta^2 (k+3) d_k,
+        c_{k-2} = c_k + d_{k-2},
+
+    where every term is positive: nothing cancels as beta -> 1, where the
+    three-term form loses up to 1e-11 relative (tau = 100).  Each parity
+    chain starts from c_{N+2} = 0, c_N = 1 at an N where the other solution
+    has fallen below 1e-17 of c_k for every k <= K, and is scaled by its
+    first entry from c_init: c_0 = E(beta) and the closed c_1.  A run
+    longer than 100 000 steps (beta near 1) raises DomainError.
     """
     if K < 3:
         raise DomainError(f"K={K!r} must be at least 3")
-    b2 = beta * beta
-    if b2 <= _RECURRENCE_MIN_B2:
+    c0, c1 = c_init(beta, tau)
+    n = K + 40 + math.ceil(math.log(1e-17) / math.log(beta))
+    if n > _RECURRENCE_MAX_STEPS:
         raise DomainError(
-            f"beta={beta!r} too small for the recurrence (divides by beta^2); "
-            "use the closed form or quadrature instead")
-    c = np.empty(K + 1)
-    c[0], c[1], c[2] = c_init(beta, tau)
-    if K >= 3:
-        c[3] = ((1.0 + 3.0 * b2) * c[1] - 1.0) / (4.0 * b2)
-    fallback_from = None
-    for k in range(2, K - 1):
-        # beta^2 (k+3) c_{k+2} = [k + beta^2 (k+2)] c_k - (k-1) c_{k-2}
-        c[k + 2] = ((k + b2 * (k + 2)) * c[k] - (k - 1) * c[k - 2]) / (b2 * (k + 3))
-        if (k + 2) % 10 == 0:
-            ref = c_closed_form(beta, k + 2)
-            if abs(c[k + 2] - ref) > _COEFF_RTOL * abs(ref):
-                fallback_from = k + 2 - 9
-                break
-    if fallback_from is not None:
-        for j in range(fallback_from, K + 1):
-            c[j] = c_closed_form(beta, j)
-    return CoeffTable(beta=beta, values=c, K=K)
+            f"c_recurrence needs {n} steps at beta={beta!r}, K={K!r}, over its "
+            f"budget of {_RECURRENCE_MAX_STEPS}; use c_quadrature")
+    b2 = beta * beta
+    omb2 = (1.0 - beta) * (1.0 + beta)
+    c = [1.0] * (n + 1)
+    d = [1.0] * (n + 1)
+    for k in range(n, 1, -1):
+        d[k - 2] = (omb2 * c[k] + b2 * (k + 3) * d[k]) / (k - 1)
+        c[k - 2] = c[k] + d[k - 2]
+    values = np.array(c[:K + 1])
+    values[0::2] *= c0 / values[0]
+    values[1::2] *= c1 / values[1]
+    return CoeffTable(beta=beta, values=values, K=K)
 
 
 def _series_prefactor(beta: float, tau: float) -> float:
@@ -202,9 +191,9 @@ def omega_series(tau: float, tol: float) -> SeriesResult:
     Terms are positive and decay at least geometrically with ratio beta^2,
     so the tail after a term is at most last_term * beta^2 / (1 - beta^2);
     the sum stops once both that bound and the last term are below tol.
-    The coefficients come from the recurrence, or from the closed form where
-    beta^2 <= 1e-10.  The number of terms grows like 1/(1 - beta^2): past
-    10 000 of them (tau above ~140) DomainError points to omega_integral.
+    The coefficients come from c_recurrence at every beta.  The number of
+    terms, and the length of that recurrence, grow like 1/(1 - beta^2):
+    past 10 000 terms (tau above ~140) DomainError points to omega_integral.
     """
     if classify_regime(tau) is not Regime.REPULSIVE:
         raise DomainError(f"omega_series requires tau > 2/(pi-2), got {tau!r}")
@@ -223,10 +212,7 @@ def omega_series(tau: float, tol: float) -> SeriesResult:
             raise DomainError(
                 f"omega_series needs ~{k_max} terms at tau={tau!r} (beta^2={b2!r}), "
                 f"over its budget of {_SERIES_MAX_TERMS}; use omega_integral")
-        if b2 <= _RECURRENCE_MIN_B2:
-            c = [c_closed_form(beta, j) for j in range(2 * k_max + 1)]
-        else:
-            c = c_recurrence(beta, tau, 2 * k_max).values
+        c = c_recurrence(beta, tau, 2 * k_max).values
         term = math.inf
         pw = 1.0
         k = 0

@@ -2,9 +2,8 @@
 
 Everything here is hand-rolled from provably convergent schemes: the
 arithmetic-geometric mean for K and E, fixed-order Gauss-Legendre for the
-two-parameter integral I(a, k), a cached Chebyshev interpolant of
-I(., k) over the support range of a, and a plain power series for the
-hypergeometric values feeding the coefficient tables.  The modulus
+two-parameter integral I(a, k), and a cached Chebyshev interpolant of
+I(., k) over the support range of a.  The modulus
 convention is used throughout: the `k` arguments below multiply sin^2
 inside the square root as k^2.
 """
@@ -208,35 +207,3 @@ def integral_I_cheb(a, k: float):
     out += c[0]
     out = out.reshape(a_arr.shape)
     return float(out) if out.ndim == 0 else out
-
-
-def hyp2F1_ck(k_index: int, m: float) -> float:
-    """Gauss hypergeometric value 2F1(-1/2, (k+1)/2; k/2 + 1; m).
-
-    This is the exact hypergeometric factor appearing in the closed form of
-    the moment coefficients c_k; see the series module.  Plain power series,
-    truncated when a term drops below 1e-16 of the running sum.  After the
-    leading 1 every term is negative, so the value decreases strictly in m.
-
-    Parameters
-    ----------
-    k_index : int
-        The coefficient index k >= 0.
-    m : float
-        Series argument, 0 <= m < 1 (m = beta² in all uses here).
-    """
-    if k_index < 0 or k_index != int(k_index):
-        raise DomainError(f"k_index must be a nonnegative integer, got {k_index!r}")
-    if not (0.0 <= m < 1.0):
-        raise DomainError(f"hyp2F1_ck requires 0 <= m < 1, got {m!r}")
-    a = -0.5
-    b = 0.5 * (k_index + 1)
-    c = 0.5 * k_index + 1.0
-    term = 1.0
-    total = 1.0
-    for n in range(100000):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * m
-        total += term
-        if abs(term) < 1e-16 * abs(total):
-            return total
-    raise DomainError(f"hyp2F1_ck series did not converge for m={m!r}")

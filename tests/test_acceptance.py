@@ -24,10 +24,18 @@ from logeq.equilibrium import (
 )
 from logeq.errors import ConsistencyError
 from logeq.oracle import discrete_minimize, measure_quadrature, pv_integral, verify
-from logeq.series import c_closed_form, c_quadrature, c_recurrence, check_initial_coeff
+from logeq.series import c_quadrature, c_recurrence, check_initial_coeff
 from logeq.specfun import integral_I
 
 BETA2 = 0.41729943021563737
+
+# Frozen c_k at BETA2 to 30 digits (mpmath at 40 digits, the 2F1 closed
+# form and mp.quad of the defining integral agreeing).
+CK_FROZEN = {
+    1: 0.939764793728497520422914950096,
+    10: 0.354349257292876791677240589199,
+    60: 0.146677814696023142030690975862,
+}
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -132,11 +140,9 @@ def test_criterion_8_pv_identity():
 
 def test_criterion_9_coefficient_consistency():
     table = c_recurrence(BETA2, 2.0, 60).values
-    worst = 0.0
-    for k in range(61):
-        closed = c_closed_form(BETA2, k)
-        worst = max(worst, abs(table[k] - closed) / closed,
-                    abs(c_quadrature(BETA2, k) - closed) / closed)
+    worst = max(abs(table[k] - c_quadrature(BETA2, k)) / table[k] for k in range(61))
+    for k, ref in CK_FROZEN.items():
+        worst = max(worst, abs(table[k] - ref) / ref, abs(c_quadrature(BETA2, k) - ref) / ref)
     b2 = BETA2 * BETA2
     doubled = 0.5 + (1.0 - b2) / BETA2 * math.atanh(BETA2)
     try:
@@ -145,7 +151,8 @@ def test_criterion_9_coefficient_consistency():
     except ConsistencyError:
         rejected = True
     ok = worst <= 1e-8 and rejected
-    _report(9, ok, f"three-route rel spread {worst:.2e} for k <= 60, "
+    _report(9, ok, f"recurrence, quadrature and frozen values: rel spread "
+                   f"{worst:.2e} for k <= 60, "
                    f"doubled-log c_1 rejected: {rejected}")
 
 

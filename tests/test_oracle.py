@@ -155,6 +155,10 @@ def test_potential_quad_stable_at_the_edges(tau, edges):
             x = edge - off
             total = potential_quad(tau, x) + external_field(tau, x)
             assert abs(total - w) <= tol, (edge, off)
+        # on the edge itself, also a hair off the axis there
+        for z in (edge, -edge, complex(-edge, 1e-300), complex(edge, -1e-300)):
+            total = potential_quad(tau, z) + external_field(tau, z)
+            assert abs(total - w) <= 1e-13, z
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +249,14 @@ def test_verify_passes(tau):
 
 def test_verify_spread_repulsive():
     assert verify(2.0).cross_route_omega_spread <= 1e-8
+
+
+@pytest.mark.parametrize("tau", [5.0, 9.0])
+def test_verify_at_the_rounding_floor_in_the_series_band(tau):
+    # the series answers to 1e-14 and the quadrature potential is flat to ~1e-14
+    rep = verify(tau)
+    assert rep.flatness_error <= 1e-13
+    assert rep.cross_route_omega_spread <= 1e-13
 
 
 @pytest.mark.parametrize("tau", [9.0, 10.0, 12.0, 1e3])

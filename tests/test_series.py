@@ -16,7 +16,6 @@ from logeq.equilibrium import TAU_CRITICAL, omega, solve_beta_repulsive
 from logeq.series import (
     CoeffTable,
     SeriesResult,
-    c_closed_form,
     c_init,
     c_quadrature,
     c_recurrence,
@@ -40,6 +39,80 @@ CK_REFS = {
 }
 
 
+# Frozen c_k to 30 digits: mpmath at 40 digits of the closed form
+# sqrt(pi) Gamma((k+1)/2) / (2 Gamma(k/2 + 1)) 2F1(-1/2, (k+1)/2; k/2 + 1; beta^2),
+# which agrees with mp.quad of the defining integral for every k <= 11
+# below tau = 100.  The betas are the endpoints of tau = TAU_CRITICAL + 1e-12,
+# 2, 5, 9.5 and 100 (beta^2 = 8.3e-13, 0.17, 0.77, 0.90 and 0.994), and k
+# runs up to 2 k_max, the table omega_series(tau, 1e-14) builds.
+CK_MP = {
+    9.109178788148167e-07: {
+        0: 1.57079632679457076877161216037,
+        1: 0.999999999999723409539351792423,
+        2: 0.785398163397203921770878693144,
+        3: 0.666666666666445394298148097982,
+        10: 0.386563158547034575326081305929,
+        11: 0.369408369408227935526399492089,
+        19: 0.283773192751408797812533958176,
+        20: 0.276769682076647746192889364684,
+    },
+    0.4172994302156365: {
+        0: 1.50000000000000032178860142673,
+        1: 0.939764793728497786940613065545,
+        2: 0.732091961408728298986371105937,
+        3: 0.618347747767952038330529048675,
+        10: 0.354349257292876935139186898832,
+        11: 0.338401586053949614703419089855,
+        28: 0.214078869028660303677647280073,
+        29: 0.210396657474919361932079163731,
+        55: 0.153164660785678726292796308092,
+        56: 0.151798470981793761082347722391,
+    },
+    0.8759855628093005: {
+        0: 1.19999999999999999772005020514,
+        1: 0.680365363090859091123266040153,
+        2: 0.499931225042188754625661078534,
+        3: 0.406138248966529998499975829963,
+        10: 0.20891982368388415973889009737,
+        11: 0.198139155160222065026952011996,
+        144: 0.0508483305992369630767179200346,
+        145: 0.0506695620624548146177220284231,
+        287: 0.0358543946919870908150550577249,
+        288: 0.0357915126526069359975891773116,
+    },
+    0.9483684967153133: {
+        0: 1.10526315789473655340102507222,
+        1: 0.596278436736993413207484030731,
+        2: 0.42322803317526289538305136417,
+        3: 0.334989485794435467013366829744,
+        10: 0.157499746080616406117071626088,
+        11: 0.14833247414538199680535148388,
+        363: 0.0211006780993951255327680492251,
+        364: 0.0210710401834399962664226254096,
+        725: 0.0148481622654459311990974979098,
+        726: 0.0148378174028535500995678769454,
+    },
+    0.9971146047298584: {
+        0: 1.00999999999999996706322934202,
+        1: 0.509448600575608214893915343732,
+        2: 0.342382881739999642768060912105,
+        3: 0.258737808338503151243781518302,
+        10: 0.0984223886097945545269144014561,
+        11: 0.0907353429132149248662127214318,
+        7433: 0.00111608026494089040299484555194,
+        7434: 0.00111600353508001694230252795969,
+        14865: 0.000784812504274070597925383993272,
+        14866: 0.000784785809044826730313929638566,
+    },
+}
+
+# Frozen c_200 and c_250 at BETA2, computed as CK_MP.
+CK_LARGE_K = {
+    200: 0.0804789009448319693218172179027,
+    250: 0.0719930731162919199480385940359,
+}
+
+
 def _tau_for(beta: float) -> float:
     """The tau whose two-cut endpoint is the given beta."""
     return 1.0 / (complete_E(beta) - 1.0)
@@ -51,27 +124,36 @@ def _tau_for(beta: float) -> float:
 
 def test_frozen_coefficient_anchors():
     assert abs(solve_beta_repulsive(2.0) - BETA2) <= 1e-13
+    table = c_recurrence(BETA2, 2.0, 60).values
     for k, ref in CK_REFS.items():
-        assert abs(c_closed_form(BETA2, k) - ref) <= 5e-13 * abs(ref)
+        assert abs(table[k] - ref) <= 5e-13 * abs(ref)
+        assert abs(c_quadrature(BETA2, k) - ref) <= 5e-13 * abs(ref)
 
 
 def test_three_routes_agree():
-    # recurrence vs hypergeometric closed form vs direct quadrature,
-    # every k up to 60 at the tau = 2 endpoint
+    # backward recurrence vs direct quadrature, every k up to 60 at the
+    # tau = 2 endpoint, both against frozen 30-digit values at the anchors
+    # (test_frozen_coefficient_anchors) and beyond (CK_MP)
     table = c_recurrence(BETA2, 2.0, 60)
     for k in range(61):
-        closed = c_closed_form(BETA2, k)
         quad = c_quadrature(BETA2, k)
-        rec = table.values[k]
-        assert abs(rec - closed) <= 1e-8 * abs(closed)
-        assert abs(quad - closed) <= 1e-8 * abs(closed)
+        assert abs(table.values[k] - quad) <= 1e-12 * quad
+
+
+@pytest.mark.parametrize("beta", sorted(CK_MP))
+def test_recurrence_against_frozen_references(beta):
+    refs = CK_MP[beta]
+    table = c_recurrence(beta, _tau_for(beta), max(refs)).values
+    for k, ref in refs.items():
+        assert abs(table[k] - ref) <= 2e-14 * ref, k
 
 
 def test_quadrature_large_k():
     # both quadrature orders (128 for k <= 200, 256 above)
-    for k in (200, 250):
-        closed = c_closed_form(BETA2, k)
-        assert abs(c_quadrature(BETA2, k) - closed) <= 1e-10 * abs(closed)
+    table = c_recurrence(BETA2, 2.0, 250).values
+    for k, ref in CK_LARGE_K.items():
+        assert abs(c_quadrature(BETA2, k) - ref) <= 1e-10 * ref
+        assert abs(table[k] - ref) <= 2e-14 * ref
 
 
 def test_initial_coeff_gate_accepts_correct_c1():
@@ -93,11 +175,10 @@ def test_initial_coeff_gate_rejects_doubled_log_coefficient():
 
 
 def test_c_init_values_and_validation():
-    c0, c1, c2 = c_init(BETA2, 2.0)
+    c0, c1 = c_init(BETA2, 2.0)
     assert c0 == complete_E(BETA2)
     assert abs(c0 - 1.5) <= 1e-9  # endpoint equation E(beta) = 1 + 1/tau
     assert abs(c1 - CK_REFS[1]) <= 1e-12
-    assert abs(c2 - CK_REFS[2]) <= 1e-12
     with pytest.raises(DomainError):
         c_init(1.2, 2.0)
     with pytest.raises(DomainError):
@@ -105,22 +186,21 @@ def test_c_init_values_and_validation():
 
 
 def test_c2_stable_at_tiny_beta():
-    # The E/K form of c_2 would lose ~12 digits here; the closed-form
-    # switch has to keep full accuracy.  Limit value is c_2(0) = pi/4.
+    # A forward run of the recurrence would divide by beta^2 = 1e-12 here;
+    # the backward run is as accurate as anywhere.  Limit c_2(0) = pi/4.
     beta = 1e-6
-    _, _, c2 = c_init(beta, _tau_for(beta))
+    c2 = c_recurrence(beta, _tau_for(beta), 40).values[2]
     assert abs(c2 - 0.25 * math.pi) <= 1e-10
 
 
 def test_recurrence_fallback_table_is_correct():
-    # At beta = 0.05 the forward recurrence amplifies roundoff by ~400x per
-    # step, so the k = 10 checkpoint must trip and the table must be filled
-    # from the closed form; either way every entry has to come out right.
+    # At beta = 0.05 a forward run of the recurrence would amplify roundoff
+    # by ~400x per step; run backward every entry has to come out right.
     beta = 0.05
     table = c_recurrence(beta, _tau_for(beta), 40)
     for k in range(41):
-        closed = c_closed_form(beta, k)
-        assert abs(table.values[k] - closed) <= 1e-8 * abs(closed)
+        quad = c_quadrature(beta, k)
+        assert abs(table.values[k] - quad) <= 1e-12 * quad
 
 
 def test_coeff_table_validation():
@@ -152,8 +232,8 @@ def test_quadrature_domain_errors():
         c_quadrature(0.5, -1)
     with pytest.raises(DomainError):
         c_recurrence(BETA2, 2.0, 2)
-    with pytest.raises(DomainError):
-        c_recurrence(1e-6, _tau_for(1e-6), 40)
+    with pytest.raises(DomainError, match="use c_quadrature"):
+        c_recurrence(0.99999, _tau_for(0.99999), 10)  # ~3.9e6 steps
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +248,8 @@ def test_omega_series_frozen_value():
     assert res.last_term < 1e-12
 
 
-# At TAU_CRITICAL + 1e-12 (beta^2 ~ 8e-13) the series takes its
-# coefficients from the closed form, not the recurrence.
+# TAU_CRITICAL + 1e-12 (beta^2 ~ 8e-13) is the smallest beta the series
+# meets in the tests.
 @pytest.mark.parametrize("tau", [TAU_CRITICAL + 1e-12, 2.0, 3.0, 5.0, 10.0])
 def test_series_and_integral_routes_agree(tau):
     assert abs(omega_series(tau, 1e-12).value - omega_integral(tau)) <= 1e-8
@@ -210,8 +290,8 @@ def test_omega_integral_against_frozen_references(tau):
 @pytest.mark.parametrize("tau", sorted(OMEGA_REFS))
 def test_omega_against_frozen_references(tau):
     ref = OMEGA_REFS[tau]
-    # the series answers to its tail tolerance 1e-12, the integral to ~1e-14
-    assert abs(omega(tau) - ref) <= 1e-12 * max(1.0, ref)
+    # the series answers to its tail tolerance 1e-14, the integral to ~1e-14
+    assert abs(omega(tau) - ref) <= 1e-13 * ref
 
 
 def test_series_tail_bound_meets_tol():

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from logeq.equilibrium import TAU_CRITICAL, solve_beta_repulsive
-from logeq.specfun import (_cache_line_rows, complete_E, complete_K, hyp2F1_ck,
-                           integral_I, integral_I_cheb)
+from logeq.specfun import (_cache_line_rows, complete_E, complete_K, integral_I,
+                           integral_I_cheb)
 
 BETA2 = 0.41729943021563715
 
@@ -108,16 +108,3 @@ def test_integral_I_cheb_shapes_and_aligned_scratch():
     assert got.shape == (5, 7) and integral_I_cheb(a[:0], k).shape == (0, 7)
     assert np.array_equal(got.ravel(), integral_I_cheb(a.ravel(), k))
 
-
-# oracle: mpmath.hyp2f1(-1/2, (k+1)/2, k/2 + 1, m), dps=30
-HYP_REFS = [
-    (1, BETA2 ** 2, 0.9397647937284976),
-    (2, BETA2 ** 2, 0.9321284356483213),
-    (7, 0.5, 0.7441161588991069),
-    (40, BETA2 ** 2, 0.9110421397181324),
-]
-
-
-@pytest.mark.parametrize("k_index,m,ref", HYP_REFS)
-def test_hyp2F1_reference(k_index, m, ref):
-    assert abs(hyp2F1_ck(k_index, m) - ref) <= 5e-14 * abs(ref)
