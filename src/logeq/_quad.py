@@ -4,7 +4,8 @@ Every integral in the package is evaluated with fixed nodes and fixed panel
 layouts, so repeated runs are bit-identical.  Endpoint square-root behavior
 is always removed by substitution *before* panelling; what panelling is for
 is the milder leftovers (logarithmic points, steep but analytic layers),
-handled by geometric refinement toward the offending point.
+handled by panels halving toward the offending point, which every caller
+first maps to 0.
 """
 
 from __future__ import annotations
@@ -28,27 +29,18 @@ def gl_map(a: float, b: float, order: int):
     return 0.5 * (a + b) + half * x, half * w
 
 
-def geometric_breaks(a, b, toward, n_panels=34, ratio: float = 0.5):
-    """Panel breakpoints on [a, b] shrinking geometrically toward one endpoint.
+def geometric_breaks(span, n_panels):
+    """Panel breakpoints on [0, span] halving n_panels times toward 0.
 
-    `toward` must equal `a` or `b`.  The innermost panel has width
-    (b - a) * ratio**n_panels; with the default 34 halvings a logarithmic
-    endpoint contributes only ~1e-11 absolute error under a modest rule.
-
-    All four arguments may be arrays of one broadcast shape S, giving
-    S + (max(n_panels) + 2,) breaks: a row with fewer panels is padded with
-    zero-width (zero-weight) panels at its `toward` end.
+    The innermost panel is [0, span * 2**-n_panels].  Both arguments may be
+    arrays of one broadcast shape S, giving S + (max(n_panels) + 2,) breaks:
+    a row with fewer panels is padded with zero-width (zero-weight) panels
+    at 0.
     """
-    a, b, toward, n = np.broadcast_arrays(
-        *(np.asarray(v, float) for v in (a, b, toward, n_panels)))
-    at_a = toward == a
-    if not np.all(at_a | (toward == b)):
-        raise ValueError("`toward` must be an endpoint of [a, b]")
+    span, n = np.broadcast_arrays(np.asarray(span, float), np.asarray(n_panels))
     k = np.arange(np.max(n), -1, -1)
-    offs = np.where(k > n[..., None], 0.0, (b - a)[..., None] * ratio ** k)
-    a, b = a[..., None], b[..., None]
-    return np.where(at_a[..., None], np.concatenate((a, a + offs), axis=-1),
-                    np.concatenate((b - offs[..., ::-1], b), axis=-1))
+    offs = np.where(k > n[..., None], 0.0, span[..., None] * 0.5 ** k)
+    return np.concatenate((np.zeros(offs.shape[:-1] + (1,)), offs), axis=-1)
 
 
 def composite_nodes(breaks, order: int):
@@ -62,3 +54,12 @@ def composite_nodes(breaks, order: int):
     half = 0.5 * (hi - lo)
     shape = breaks.shape[:-1] + (-1,)
     return (0.5 * (lo + hi) + half * x).reshape(shape), (half * w).reshape(shape)
+
+
+@lru_cache(maxsize=64)
+def graded_rule(span: float, n_panels: int, order: int):
+    """Gauss-Legendre nodes and weights on [0, span], in panels halving
+    n_panels times toward 0 (read-only, cached)."""
+    x, w = composite_nodes(geometric_breaks(span, n_panels), order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w

@@ -25,9 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._quad import gl_map
 from .errors import ConsistencyError, ConvergenceError, DomainError
-from .specfun import complete_E, complete_K, integral_I, integral_I_cheb
+from .specfun import complete_E, complete_K, integral_I, integral_I_cheb, theta_rule
 
 # Upper boundary of the intermediate regime; 2/(pi-2) ~ 1.7519.
 TAU_CRITICAL = 2.0 / (math.pi - 2.0)
@@ -435,14 +434,16 @@ def _gap_kernel_integral(z, beta: float, r):
     """∫_{-beta}^{beta} sqrt((1-x^2)/(beta^2-x^2)) dx/(z-x) at the points of
     z (1-D), all off [-beta, beta], given r = sqrt_cut(z, beta).
 
-    Under x = beta sin(theta), fixed Gauss-Legendre takes the integrand
-    directly from |z| = 2 on, where nothing cancels.  Closer in, the
-    value-matched Chebyshev kernel (integral pi / sqrt_cut(z, beta)) is
-    subtracted first; the remainder is smooth up to the cut.
+    Under x = beta sin(theta), both halves theta = +-(pi/2 - phi) take the
+    nodes of `theta_rule(beta)`, graded into the layer at their ends.
+    From |z| = 2 on the integrand is taken directly, where nothing cancels.
+    Closer in, the value-matched Chebyshev kernel (integral
+    pi / sqrt_cut(z, beta)) is subtracted first; the remainder is smooth up
+    to the cut.
     """
-    theta, w = gl_map(-0.5 * math.pi, 0.5 * math.pi, 128)
-    y = beta * np.sin(theta)
-    root = np.sqrt(1.0 - y ** 2)
+    phi, w, root = theta_rule(beta)
+    y = beta * np.cos(phi)
+    y, w, root = np.concatenate((y, -y)), np.tile(w, 2), np.tile(root, 2)
     q = np.empty(z.shape, complex)
     for i in range(0, z.size, _KERNEL_BLOCK):
         zb, rb, qb = z[i:i + _KERNEL_BLOCK], r[i:i + _KERNEL_BLOCK], q[i:i + _KERNEL_BLOCK]
@@ -489,9 +490,10 @@ def cauchy(tau: float, z):
     (1 + tau)/sqrt_cut(z, 1) - tau atanh(1/z) on the full interval,
     2 tau atanh(1/(tau (sqrt_cut(z, beta) + z))) on one cut, and
     (tau/2) ratio_root(z, beta) q - tau atanh(1/z) on two, q the gap-kernel
-    integral (its principal value at real points of the gap).  Relative
-    error within 1e-12 from |z| = 2 to 1e300 for tau in [-1e8, 10]; the
-    two-cut terms cancel by a factor ~1 + tau.  Maps conjugates to conjugates.
+    integral (its principal value at real points of the gap) on the rule
+    of `theta_rule`.  Relative error within 1e-12 from |z| = 2 to 1e300
+    for tau in [-1e8, 10]; the two-cut terms cancel by a factor ~1 + tau,
+    which sets the error up to tau = 1e7.  Maps conjugates to conjugates.
     """
     sup = support(tau)
     z, shape = _points(z, "cauchy transform", sup.pieces)
@@ -542,9 +544,10 @@ def potential(tau: float, z):
     """Logarithmic potential ∫ log(1/|z - x|) dμ(x) of the equilibrium measure.
 
     Takes a finite point (giving a float) or an array of them (giving an
-    array of its shape).  On the support the closed interval formula
-    applies; elsewhere the potential is -Re g, also at real points just
-    outside a support edge.  The repulsive regime has no closed form
+    array of its shape).  At real points of the support the closed
+    interval formula applies; elsewhere the potential is -Re g, also at
+    real points just outside a support edge and at points however close
+    above or below the support.  The repulsive regime has no closed form
     anywhere and delegates to the quadrature oracle.
     """
     if classify_regime(tau) is Regime.REPULSIVE:
@@ -553,11 +556,11 @@ def potential(tau: float, z):
     sup = support(tau)
     z, shape = _points(z, "potential")
     out = np.empty(z.shape)
-    on = (np.abs(z.imag) <= ON_CUT_TOL) & (np.abs(z.real) <= sup.beta)
+    on = (z.imag == 0.0) & (np.abs(z.real) <= sup.beta)
     out[on] = 0.5 * tau * (_entropy_bracket(z.real[on]) - 2.0) + omega(tau)
     if not on.all():  # the g-function costs ~40 us even on no points
-        # No point left lies on the cut, however close to an edge: Re g is
-        # continuous across the real axis outside the support.
+        # Re g is continuous across the real axis, also over the support,
+        # where the interval formula would move a point by ~sqrt|Im z|.
         out[~on] = -_g_function(tau, sup, z[~on]).real
     return _descalar(out.reshape(shape))
 

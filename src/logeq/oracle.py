@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._quad import composite_nodes, geometric_breaks, gl_map, gl_rule
+from ._quad import composite_nodes, geometric_breaks, gl_map, gl_rule, graded_rule
 from .equilibrium import (Regime, Support, SupportShape, _density_offset,
                           _descalar, _omega_repulsive, _points, cauchy,
                           classify_regime, density, external_field, omega,
@@ -148,15 +148,6 @@ _MAX_DEPTH = 60
 _EDGE_PANELS = 20
 
 
-@lru_cache(maxsize=4)
-def _unit_edge_rule(order: int):
-    """Nodes and weights of the edge rule for span 1 (read-only, cached)."""
-    t, w = composite_nodes(geometric_breaks(0.0, 1.0, toward=0.0, n_panels=_EDGE_PANELS),
-                           order)
-    t.flags.writeable = w.flags.writeable = False
-    return t, w
-
-
 @lru_cache(maxsize=1)
 def _product_log_rule():
     """Gauss-Legendre nodes u and weights w on [0, 1], and product weights v
@@ -193,7 +184,7 @@ def _edge_rule(length, order: int = 16):
     offset away near the edge and lose the sliver there (which carries
     ~sqrt(off) of mass)."""
     span = np.sqrt(length)[..., None]
-    t_unit, w_unit = _unit_edge_rule(order)
+    t_unit, w_unit = graded_rule(1.0, _EDGE_PANELS, order)
     t = span * t_unit
     return t * t, 2.0 * t * (span * w_unit)
 
@@ -257,8 +248,7 @@ def _graded_toward_zero(span, target):
     depth = np.clip(np.ceil(np.log2(span) - np.log2(target)), 0, _MAX_DEPTH).astype(int)
     h = span * 0.5 ** depth
     # zero-width panels at h pad the rows that need fewer halvings
-    breaks = np.maximum(geometric_breaks(0.0, span, toward=0.0, n_panels=depth),
-                        h[..., None])
+    breaks = np.maximum(geometric_breaks(span, depth), h[..., None])
     r, w = composite_nodes(breaks, 16)
     u, w_in, v_in = _product_log_rule()
     h = h[..., None]

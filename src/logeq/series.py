@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._quad import composite_nodes, geometric_breaks, gl_map
+from ._quad import gl_map, graded_rule
 from .equilibrium import Regime, classify_regime, solve_beta_repulsive
 from .errors import ConsistencyError, DomainError
-from .specfun import complete_E
+from .specfun import complete_E, theta_rule
 
 # Relative tolerance at which a closed-form coefficient is declared
 # inconsistent with its defining integral.
@@ -194,6 +193,7 @@ def omega_series(tau: float, tol: float) -> SeriesResult:
     The coefficients come from c_recurrence at every beta.  The number of
     terms, and the length of that recurrence, grow like 1/(1 - beta^2):
     past 10 000 terms (tau above ~140) DomainError points to omega_integral.
+    A sum still short of tol after those terms raises ConsistencyError.
     """
     if classify_regime(tau) is not Regime.REPULSIVE:
         raise DomainError(f"omega_series requires tau > 2/(pi-2), got {tau!r}")
@@ -206,36 +206,23 @@ def omega_series(tau: float, tol: float) -> SeriesResult:
     # Geometric bound on the index where that drops below tol for
     # tau c_{2k-1} c_{2k} beta^{2k} (coefficients are bounded by c_1 c_2 < 2.5).
     k_max = max(3, math.ceil(math.log(tol / (2.5 * tau * tail)) / (2.0 * math.log(beta))) + 8)
+    if k_max > _SERIES_MAX_TERMS:
+        raise DomainError(
+            f"omega_series needs ~{k_max} terms at tau={tau!r} (beta^2={b2!r}), "
+            f"over its budget of {_SERIES_MAX_TERMS}; use omega_integral")
+    c = c_recurrence(beta, tau, 2 * k_max).values
     total = _series_prefactor(beta, tau)
-    while True:
-        if k_max > _SERIES_MAX_TERMS:
-            raise DomainError(
-                f"omega_series needs ~{k_max} terms at tau={tau!r} (beta^2={b2!r}), "
-                f"over its budget of {_SERIES_MAX_TERMS}; use omega_integral")
-        c = c_recurrence(beta, tau, 2 * k_max).values
-        term = math.inf
-        pw = 1.0
-        k = 0
-        while k < k_max:
-            k += 1
-            pw *= b2
-            term = float(tau * c[2 * k - 1] * c[2 * k] * pw)
-            total += term
-            if term * tail < tol:
-                return SeriesResult(value=float(total), terms_used=k, last_term=term)
-        # The geometric estimate fell short (it never should by much);
-        # restart with a larger table.
-        total = _series_prefactor(beta, tau)
-        k_max *= 2
-
-
-@lru_cache(maxsize=64)
-def _graded_rule(span: float, n_panels: int, order: int):
-    """Gauss-Legendre nodes and weights on [0, span], in panels halving
-    n_panels times toward 0 (read-only, cached)."""
-    x, w = composite_nodes(geometric_breaks(0.0, span, toward=0.0, n_panels=n_panels), order)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    pw = 1.0
+    for k in range(1, k_max + 1):
+        pw *= b2
+        term = float(tau * c[2 * k - 1] * c[2 * k] * pw)
+        total += term
+        if term * tail < tol:
+            return SeriesResult(value=float(total), terms_used=k, last_term=term)
+    # CoeffTable has checked c_{2k-1} c_{2k} <= c_1 c_0 <= pi/2, inside the
+    # bound behind k_max: a sum still short of tol is a fault, not a case.
+    raise ConsistencyError(
+        f"omega_series did not reach tol={tol!r} in {k_max} terms at tau={tau!r}")
 
 
 def omega_integral(tau: float) -> float:
@@ -265,22 +252,18 @@ def omega_integral(tau: float) -> float:
         raise DomainError(f"omega_integral requires tau > 2/(pi-2), got {tau!r}")
     beta = solve_beta_repulsive(tau)
     omb = 1.0 - beta
-    # both rules halve their panels until the innermost is below the layer
-    # width sqrt(1 - beta), which takes log2(span) + depth halvings
-    depth = -0.5 * math.log2(omb)
-
     # Inner rule: phi in [0, pi/2] for each half, theta = +-(pi/2 - phi).
-    phi, w_phi = _graded_rule(0.5 * math.pi, math.ceil(depth + math.log2(0.5 * math.pi)), 16)
+    phi, w_phi, root = theta_rule(beta)
     cos_phi = np.cos(phi)
     sin_s = np.concatenate((cos_phi, -cos_phi))
     # 1 - sin(theta) on the upper half and the lower half
     one_minus_s = np.concatenate((2.0 * np.sin(0.5 * phi) ** 2, 1.0 + cos_phi))
-    root = np.sqrt(omb * (1.0 + beta) + (beta * np.sin(phi)) ** 2)
     w_root = np.tile(w_phi * root, 2)
     gap = omb + beta * one_minus_s  # x - beta sin(theta) at x = 1
 
-    # Outer nodes: x = 1 + u^2 on [1, 2], x = 1/t on [2, inf).
-    u, w_u = _graded_rule(1.0, math.ceil(depth), 16)
+    # Outer nodes: x = 1 + u^2 on [1, 2], x = 1/t on [2, inf); the u panels
+    # halve until the innermost is below the layer width sqrt(1 - beta).
+    u, w_u = graded_rule(1.0, math.ceil(-0.5 * math.log2(omb)), 16)
     t, w_t = gl_map(0.0, 0.5, 64)
     x_minus_1 = np.concatenate((u * u, 1.0 / t - 1.0))
     # Row sums, not a matrix product: BLAS would add its buffers to the RSS.

@@ -1,8 +1,10 @@
 """Complete elliptic integrals and related special values.
 
 Everything here is hand-rolled from provably convergent schemes: the
-arithmetic-geometric mean for K and E, fixed-order Gauss-Legendre for the
-two-parameter integral I(a, k), and a cached Chebyshev interpolant of
+arithmetic-geometric mean for K and E, one graded rule in theta for the
+integrals of sqrt(1 - k^2 sin^2 theta) (`theta_rule`, which the two-cut
+Cauchy transform and equilibrium constant use too), the two-parameter
+integral I(a, k) by that rule, and a cached Chebyshev interpolant of
 I(., k) over the support range of a.  The modulus
 convention is used throughout: the `k` arguments below multiply sin^2
 inside the square root as k^2.
@@ -15,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._quad import geometric_breaks, composite_nodes, gl_map
+from ._quad import graded_rule
 from .errors import DomainError
 
 # Moduli this close to 1 make K blow up past any sensible use; reject them.
@@ -86,6 +88,21 @@ def complete_E(k: float) -> float:
 # The two-parameter kernel integral
 # ---------------------------------------------------------------------------
 
+def theta_rule(k: float):
+    """Nodes for the θ-integrals of √(1 - k² sin²θ) over [0, π/2], in
+    φ = π/2 - θ, as (phi, w, root) with root = √(1 - k² cos²φ).
+
+    16-node panels halve toward φ = 0 until the innermost is below the
+    width √(1 - k) of the layer there: 32 nodes at k = 0, 352 at the
+    modulus cap.  The root is formed as √((1 - k)(1 + k) + (k sin φ)²),
+    which does not cancel as k -> 1.
+    """
+    omk = 1.0 - k
+    n_panels = math.ceil(-0.5 * math.log2(omk) + math.log2(0.5 * math.pi))
+    phi, w = graded_rule(0.5 * math.pi, n_panels, 16)
+    return phi, w, np.sqrt(omk * (1.0 + k) + (k * np.sin(phi)) ** 2)
+
+
 # Points x theta nodes per block of integral_I: one scratch block of ~256 KiB,
 # reused by every block of a call, however many points `a` holds.
 _I_BLOCK = 1 << 15
@@ -96,9 +113,10 @@ def integral_I(a, k: float):
 
     Reduces to K(k) at a = 0 and to π / (2(1 + a)) at k = 0.  `a` may be a
     scalar or an ndarray (k is always scalar); the return matches the shape
-    of `a`.  Fixed 64-point Gauss-Legendre is exact to ~1e-15 for k <= 0.999;
-    above that the quadrature switches to bisected panels piling up at
-    θ = π/2 where the square root develops a boundary layer.
+    of `a`.  The nodes are those of `theta_rule(k)` at every k, graded
+    toward θ = π/2, where the square root develops a boundary layer as
+    k -> 1: within ~3e-16 relative of 30-digit references up to
+    k = β(1e9) ≈ 1 - 8e-11.
 
     This is the direct quadrature at every a >= 0.  The two-cut density,
     whose a lie in [0, √(1-k²)], reads `integral_I_cheb` instead, which is
@@ -110,17 +128,11 @@ def integral_I(a, k: float):
         raise DomainError("integral_I requires a >= 0")
     if not (0.0 <= k < _K_MODULUS_CAP):
         raise DomainError(f"integral_I requires 0 <= k < 1 - 1e-12, got k={k!r}")
-    if k <= 0.999:
-        theta, w = gl_map(0.0, 0.5 * math.pi, 64)
-    else:
-        breaks = geometric_breaks(0.0, 0.5 * math.pi, toward=0.5 * math.pi,
-                                  n_panels=30)
-        theta, w = composite_nodes(breaks, 32)
-    root = np.sqrt(1.0 - (k * np.sin(theta)) ** 2)
+    _, w, root = theta_rule(k)
     flat = a_arr.ravel()
     vals = np.empty(flat.shape)
-    step = max(1, _I_BLOCK // len(theta))
-    scratch = np.empty((min(step, flat.size), len(theta)))
+    step = max(1, _I_BLOCK // len(w))
+    scratch = np.empty((min(step, flat.size), len(w)))
     for i in range(0, flat.size, step):
         terms = scratch[:flat.size - i]
         np.add(flat[i:i + step, None], root, out=terms)
@@ -181,7 +193,7 @@ def integral_I_cheb(a, k: float):
     lie on [-1, -k'], k' = √(1-k²).  Mapped from [0, k'] to [-1, 1] the
     nearest one sits at -3 whatever k is, so the interpolant converges like
     (3 + √8)^-n uniformly in k: with 24 terms it matches `integral_I` to
-    ~1e-15 relative, also for k above 0.999.  The coefficients come from 24
+    ~1e-15 relative, for k up to the modulus cap.  The coefficients come from 24
     `integral_I` values per k (cached for the 1024 most recent k); each call
     after that is a Clenshaw recurrence over the points, done in place in
     cache-line-aligned scratch rows.

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface.
 
-Everything except the forced-failure exit-code checks runs the real
-console entry point in a subprocess, so argument parsing, formatting,
-and the documented exit codes are exercised exactly as a user sees them.
+Everything except the forced-failure exit-code checks runs
+`python -m logeq.cli`, the module behind the `logeq` console script, in a
+subprocess, so argument parsing, formatting, and the documented exit codes
+are exercised exactly as a user sees them.  The installed script itself is
+run by the CI workflow.
 """
 
 import json

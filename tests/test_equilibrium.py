@@ -436,6 +436,68 @@ def test_cauchy_repulsive_gap_continuity():
         assert abs(gap_val - limit_val) <= 1e-7
 
 
+# oracle: mpmath.quad (dps 40) of (tau/2) ratio_root(z, beta) q(z)
+# - tau atanh(1/z), q(z) the gap-kernel integral in theta with breakpoints
+# halving toward theta = +-pi/2 (and toward asin(Re z/beta) for points
+# over the gap), at the double beta = solve_beta_repulsive(tau).  At real
+# points of the gap q is the principal value, taken after subtracting the
+# value-matched Chebyshev kernel.  Points, with w = 1 - beta: beta + 0.3 w
+# + 1e-3 w i over a piece, 1 + 0.01 w and beta - 0.01 w next to the outer
+# and inner edges, 0.5 beta in the gap, 0.3 + 1e-3 i over the gap, then
+# 0.4 + 0.9 i, 3 + 0.5 i and -2.5.
+CAUCHY_TWO_CUT_REFS = [
+    (30.0, 0.9878907701746577, (0.9915235391222603+1.210922982534235e-05j), (-81.77105436635729-46.48804057116654j)),
+    (30.0, 0.9878907701746577, 1.0001210922982535, (832.2398207238576+0j)),
+    (30.0, 0.9878907701746577, 0.9877696778764042, (-69.65482741518183+0j)),
+    (30.0, 0.9878907701746577, 0.4939453850873288, (-0.6581678002033484+0j)),
+    (30.0, 0.9878907701746577, (0.3+0.001j), (-0.3316827576035654-0.0013256488425097844j)),
+    (30.0, 0.9878907701746577, (0.4+0.9j), (-0.003038197272749765-0.5486104497838171j)),
+    (30.0, 0.9878907701746577, (3+0.5j), (0.35816826540604374-0.07407730840058037j)),
+    (30.0, 0.9878907701746577, -2.5, (-0.47569389104028104+0j)),
+    (1000.0, 0.9997906007088883, (0.9998534204962217+2.0939929111174483e-07j), (-4753.375811332454-2874.724929143127j)),
+    (1000.0, 0.9997906007088883, 1.000002093992911, (46034.285268642234+0j)),
+    (1000.0, 0.9997906007088883, 0.9997885067159772, (-4152.079034518959+0j)),
+    (1000.0, 0.9997906007088883, 0.4998953003544441, (-0.6665222136444243+0j)),
+    (1000.0, 0.9997906007088883, (0.3+0.001j), (-0.3297050498562918-0.0013164311414081053j)),
+    (1000.0, 0.9997906007088883, (0.4+0.9j), (-0.0036908015798845493-0.5470979754269101j)),
+    (1000.0, 0.9997906007088883, (3+0.5j), (0.35836737070376323-0.07420577421507449j)),
+    (1000.0, 0.9997906007088883, -2.5, (-0.47618147760854657+0j)),
+    (10000.0, 0.9999834559963339, (0.9999884191974338+1.6544003666130182e-08j), (-60205.41293843094-37054.42222720259j)),
+    (10000.0, 0.9999834559963339, 1.0000001654400366, (575175.4579309948+0j)),
+    (10000.0, 0.9999834559963339, 0.9999832905562972, (-52949.713532992224+0j)),
+    (10000.0, 0.9999834559963339, 0.49999172799816693, (-0.6666553333341311+0j)),
+    (10000.0, 0.9999834559963339, (0.3+0.001j), (-0.32967197234388923-0.0013162772583655787j)),
+    (10000.0, 0.9999834559963339, (0.4+0.9j), (-0.0037017263435029178-0.5470724734470092j)),
+    (10000.0, 0.9999834559963339, (3+0.5j), (0.35837074738706-0.07420795531646412j)),
+    (10000.0, 0.9999834559963339, -2.5, (-0.4761897569359826+0j)),
+    (100000.0, 0.9999986281442431, (0.9999990397009701+1.3718557568820345e-09j), (-726353.3176193277-452042.77813319484j)),
+    (100000.0, 0.9999986281442431, 1.0000000137185576, (6878379.683780631+0j)),
+    (100000.0, 0.9999986281442431, 0.9999986144256855, (-641603.1385154921+0j)),
+    (100000.0, 0.9999986281442431, 0.49999931407212156, (-0.6666657312176419+0j)),
+    (100000.0, 0.9999986281442431, (0.3+0.001j), (-0.32966933951644584-0.0013162650103195198j)),
+    (100000.0, 0.9999986281442431, (0.4+0.9j), (-0.0037025959248606338-0.5470704433271387j)),
+    (100000.0, 0.9999986281442431, (3+0.5j), (0.3583710162374928-0.07420812897200788j)),
+    (100000.0, 0.9999986281442431, -2.5, (-0.47619041613123075+0j)),
+    (10000000.0, 0.9999999897296016, (0.999999992810721+1.027039842060873e-11j), (-97070456.98928238-61225769.95164406j)),
+    (10000000.0, 0.9999999897296016, 1.000000000102704, (909317371.5230997+0j)),
+    (10000000.0, 0.9999999897296016, 0.9999999896268976, (-86198408.4456868+0j)),
+    (10000000.0, 0.9999999897296016, 0.4999999948648008, (-0.6666666727830249+0j)),
+    (10000000.0, 0.9999999897296016, (0.3+0.001j), (-0.3296691078112152-0.0013162639281640274j)),
+    (10000000.0, 0.9999999897296016, (0.4+0.9j), (-0.003702674656806653-0.5470702703931803j)),
+    (10000000.0, 0.9999999897296016, (3+0.5j), (0.3583710475704029-0.07420814613284525j)),
+    (10000000.0, 0.9999999897296016, -2.5, (-0.4761904850798662+0j)),
+]
+
+
+@pytest.mark.parametrize("tau,beta,z,ref", CAUCHY_TWO_CUT_REFS)
+def test_cauchy_two_cut_against_mpmath(tau, beta, z, ref):
+    # its terms cancel by a factor ~1 + tau, which sets the rounding floor;
+    # the quadrature of q adds nothing to it up to tau = 1e7
+    assert solve_beta_repulsive(tau) == beta
+    assert abs(cauchy(tau, z) - ref) <= 5e-15 * (1.0 + tau) * abs(ref)
+    assert abs(cauchy(tau, np.conj(z)) - np.conj(ref)) <= 5e-15 * (1.0 + tau) * abs(ref)
+
+
 def test_chebyshev_kernel_closed_form():
     # int_{-b}^{b} dx / (sqrt(b^2 - x^2)(z - x)) = pi / sqrt_cut(z, b);
     # quadrature under x = b sin(theta) against the closed form.
@@ -572,6 +634,21 @@ def test_potential_just_outside_a_support_edge(tau, edge, ref):
 def test_potential_next_to_a_hard_edge(x, ref):
     # -Re g loses nothing to the rounding of 1/x just outside the edge
     assert abs(potential(0.5, x) - ref) <= 2e-15 * ref
+
+
+@pytest.mark.parametrize("tau", (0.5, -0.5, 1.7, -2.0, -1.001))
+def test_potential_just_off_the_axis_over_the_support(tau):
+    # a point a hair above or below the support takes -Re g, continuous
+    # across the axis; read as on the axis it moved by ~sqrt|Im z| next to
+    # a hard edge (4.7e-7 at tau = 0.5).  potential_quad is the reference.
+    from logeq.oracle import potential_quad
+    xs = []
+    for lo, hi in support(tau).pieces:
+        xs += [lo, hi, lo + 1e-9, hi - 1e-9, lo + 1e-3, hi - 1e-3, 0.3 * hi]
+    ys = 10.0 ** -np.array([12.0, 13, 14, 16, 20, 50, 100, 200, 300])
+    z = (np.array(xs)[:, None] + 1j * ys).ravel()
+    for zs in (z, z.conjugate()):
+        assert np.max(np.abs(potential(tau, zs) - potential_quad(tau, zs))) <= 2e-13
 
 
 # ---------------------------------------------------------------------------

@@ -236,7 +236,7 @@ def test_discrete_minimizer_reports_nonconvergence(monkeypatch):
 # The verification report
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("tau", [-2.0, 0.0, 2.0])
+@pytest.mark.parametrize("tau", [-2.0, 0.0, 2.0, 1e4, 1e5, 1e6])
 def test_verify_passes(tau):
     rep = verify(tau)
     assert isinstance(rep, VerificationReport)

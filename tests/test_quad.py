@@ -16,7 +16,7 @@ from logeq.equilibrium import (TAU_CRITICAL, external_field, omega, potential,
 from logeq.errors import DomainError
 from logeq.oracle import (_edge_segment, _product_log_rule, _support_grid,
                           potential_quad)
-from logeq.specfun import integral_I
+from logeq.specfun import integral_I, theta_rule
 
 
 def _gl_map_stack(breaks, order):
@@ -26,7 +26,7 @@ def _gl_map_stack(breaks, order):
 
 @pytest.mark.parametrize("order", [16, 32])
 def test_composite_nodes_equal_gl_map_stack(order):
-    breaks = geometric_breaks(-0.3, 0.7123, toward=0.7123, n_panels=25)
+    breaks = geometric_breaks(0.7123, 25)
     x, w = composite_nodes(breaks, order)
     x_ref, w_ref = _gl_map_stack(breaks, order)
     assert np.array_equal(x, x_ref)
@@ -34,8 +34,7 @@ def test_composite_nodes_equal_gl_map_stack(order):
 
 
 def test_composite_nodes_rows_equal_gl_map_stacks():
-    rows = np.array([geometric_breaks(0.0, s, toward=0.0, n_panels=20)
-                     for s in (1e-9, 0.37, 1.0, 2.5)])
+    rows = np.array([geometric_breaks(s, 20) for s in (1e-9, 0.37, 1.0, 2.5)])
     x, w = composite_nodes(rows, 16)
     assert x.shape == w.shape == (4, 21 * 16)
     for row, xr, wr in zip(rows, x, w):
@@ -45,40 +44,26 @@ def test_composite_nodes_rows_equal_gl_map_stacks():
 
 
 def test_geometric_breaks_rows_equal_scalar_calls():
-    lo = np.array([-0.9, 0.1, 0.5])
-    hi = np.array([-0.2, 0.3, 0.5 + 1e-9])
-    toward = np.array([-0.2, 0.1, 0.5])
+    span = np.array([0.7, 0.2, 1e-9])
     n = np.array([34, 34, 30])
-    rows = geometric_breaks(lo, hi, toward=toward, n_panels=n)
+    rows = geometric_breaks(span, n)
     assert rows.shape == (3, 36)
     for i in range(2):
-        assert np.array_equal(rows[i], geometric_breaks(lo[i], hi[i], toward[i], 34))
-    # the shallower row: its own breaks, after zero-width panels at `toward`
-    ref = geometric_breaks(lo[2], hi[2], toward[2], 30)
+        assert np.array_equal(rows[i], geometric_breaks(span[i], 34))
+        assert rows[i, 1] == span[i] * 2.0 ** -34 and rows[i, -1] == span[i]
+    # the shallower row: its own breaks, after zero-width panels at 0
+    ref = geometric_breaks(span[2], 30)
     assert np.array_equal(rows[2, 4:], ref)
-    assert np.all(rows[2, :5] == lo[2])
+    assert np.all(rows[2, :5] == 0.0)
     _, w = composite_nodes(rows[2], 16)
     assert np.all(w[:4 * 16] == 0.0)
-
-
-def test_geometric_breaks_rejects_interior_target():
-    with pytest.raises(ValueError):
-        geometric_breaks(0.0, 1.0, toward=0.5)
-    with pytest.raises(ValueError):
-        geometric_breaks(np.zeros(2), np.ones(2), toward=np.array([0.0, 0.5]))
 
 
 @pytest.mark.parametrize("k", [0.4, 0.9995])
 def test_integral_I_blocks_match_one_broadcast(k):
     # more points than one block holds, in a 2-D layout
     a = np.linspace(0.0, 3.0, 7 * 80).reshape(7, -1)
-    if k <= 0.999:
-        theta, w = gl_map(0.0, 0.5 * math.pi, 64)
-    else:
-        breaks = geometric_breaks(0.0, 0.5 * math.pi, toward=0.5 * math.pi,
-                                  n_panels=30)
-        theta, w = composite_nodes(breaks, 32)
-    root = np.sqrt(1.0 - (k * np.sin(theta)) ** 2)
+    _, w, root = theta_rule(k)
     ref = np.sum(w / (a[..., None] + root), axis=-1)
     got = integral_I(a, k)
     assert got.shape == a.shape
@@ -174,9 +159,9 @@ def test_potential_quad_on_the_support_matches_closed_form(tau):
 @pytest.mark.parametrize("tau", [-1.001, -2.0, -0.5, TAU_CRITICAL])
 def test_potential_quad_next_to_the_axis(tau):
     # complex points over a piece grade down to |Im z| and take the plain
-    # rule innermost.  Below Im z = 1e-13 the closed form reads the point
-    # as on the cut, which moves it by ~pi density |Im z|.  The last two
-    # stop the grading at its cap, one of them subnormal.
+    # rule innermost; the closed form takes -Re g at every point off the
+    # axis, however close.  The last two stop the grading at its cap, one
+    # of them subnormal.
     xs = _support_grid(support(tau), 20, 1e-3)
     for eps in np.append(10.0 ** -np.arange(2, 16), [1e-300, 1e-320]):
         z = xs + 1j * eps

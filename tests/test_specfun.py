@@ -64,6 +64,32 @@ def test_integral_I_reference(a, k, ref):
     assert abs(integral_I(a, k) - ref) <= 1e-10 * abs(ref)
 
 
+# oracle: mpmath.quad (dps 40) of the defining integral in phi = pi/2 -
+# theta, with breakpoints halving toward phi = 0, at the double
+# k = solve_beta_repulsive(tau) for tau = 1e5, 1e7 and 1e9, and a = 0, k',
+# 1/2 and 1
+I_NEAR_ONE_REFS = [
+    (0.0, 0.9999986281442431, 7.789398854670247),
+    (0.0016564146919705377, 0.9999986281442431, 6.789407482832951),
+    (0.5, 0.9999986281442431, 1.5206603370196274),
+    (1.0, 0.9999986281442431, 0.9999913718372958),
+    (0.0, 0.9999999897296016, 10.236720830415889),
+    (0.00014332060820320425, 0.9999999897296016, 9.236720920145492),
+    (0.5, 0.9999999897296016, 1.5206916550743146),
+    (1.0, 0.9999999897296016, 0.999999910270395),
+    (0.0, 0.9999999999176955, 12.650018458156413),
+    (1.2830003628063174e-05, 0.9999999999176955, 11.65001845907411),
+    (0.5, 0.9999999999176955, 1.5206919891025272),
+    (1.0, 0.9999999999176955, 0.9999999990823033),
+]
+
+
+@pytest.mark.parametrize("a,k,ref", I_NEAR_ONE_REFS)
+def test_integral_I_next_to_the_modulus_cap(a, k, ref):
+    # the layer of width sqrt(1 - k) at theta = pi/2 is resolved at every k
+    assert abs(integral_I(a, k) - ref) <= 1e-15 * ref
+
+
 def test_integral_I_limits():
     # a -> 0 turns the integrand into 1/sqrt(1 - k^2 sin^2 t), so the value
     # approaches K(k) from below.
@@ -85,8 +111,7 @@ def test_integral_I_vectorized():
                                  9.55, 100.0, 1e3, 1e5])
 def test_integral_I_cheb_matches_the_quadrature(tau):
     # the support range a in [0, k'] of the two-cut density, densely, for
-    # beta from ~1e-6 up to 1 - 1.4e-6; tau = 1e3 and 1e5 put beta above
-    # 0.999, where integral_I switches to panels
+    # beta from ~1e-6 up to 1 - 1.4e-6
     k = solve_beta_repulsive(tau)
     a = np.linspace(0.0, math.sqrt((1.0 - k) * (1.0 + k)), 4001)
     ref = integral_I(a, k)
