@@ -16,8 +16,8 @@ minimizer, verification report); `specfun` the elliptic integrals they
 share; `cli` a command-line front end.
 """
 
-from .equilibrium import (ON_CUT_TOL, TAU_CRITICAL, EquilibriumReport, Regime,
-                          Support, SupportShape, cauchy,
+from .equilibrium import (TAU_CRITICAL, EquilibriumReport, Regime, Support,
+                          SupportShape, cauchy,
                           classify_regime, density, edge_coefficient,
                           external_field, g_function, lebesgue_cauchy,
                           lebesgue_g, lebesgue_potential, omega,
@@ -32,7 +32,7 @@ from .series import (CoeffTable, SeriesResult, c_quadrature, c_recurrence,
 from .specfun import complete_E, complete_K, integral_I
 
 __all__ = [
-    "ON_CUT_TOL", "TAU_CRITICAL",
+    "TAU_CRITICAL",
     "Regime", "Support", "SupportShape", "EquilibriumReport",
     "classify_regime", "solve_beta_repulsive", "support",
     "sqrt_cut", "phi_joukowski", "ratio_root",

@@ -57,13 +57,13 @@ def _write(text: str, out) -> None:
 
 def _point(args, parser) -> complex:
     """Evaluation point from --x (real shorthand) or --re/--im."""
-    if args.x is not None and args.re is not None:
+    if args.x is not None and (args.re is not None or args.im is not None):
         parser.error("give either --x or --re/--im, not both")
     if args.x is not None:
         return complex(args.x, 0.0)
     if args.re is None:
         parser.error("an evaluation point is required: --x X or --re RE [--im IM]")
-    return complex(args.re, args.im)
+    return complex(args.re, 0.0 if args.im is None else args.im)
 
 
 def _density_table(tau: float, n: int, grid: str):
@@ -173,6 +173,8 @@ def _cmd_density(args, parser) -> int:
 
 
 def _cmd_figure(args, parser) -> int:
+    if args.n < 2:
+        parser.error("--n must be >= 2")
     if args.name == "extfield":
         x = np.linspace(-1.0, 1.0, args.n)
         vals = external_field(args.tau, x)
@@ -204,14 +206,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=_finite, required=True, help="field strength")
     p.add_argument("--x", type=_finite, help="real evaluation point")
     p.add_argument("--re", type=_finite, help="real part of the point")
-    p.add_argument("--im", type=_finite, default=0.0, help="imaginary part (default 0)")
+    p.add_argument("--im", type=_finite, help="imaginary part (default 0)")
     p.set_defaults(func=_cmd_cauchy)
 
     p = sub.add_parser("potential", help="logarithmic potential at a point")
     p.add_argument("--tau", type=_finite, required=True, help="field strength")
     p.add_argument("--x", type=_finite, help="real evaluation point")
     p.add_argument("--re", type=_finite, help="real part of the point")
-    p.add_argument("--im", type=_finite, default=0.0, help="imaginary part (default 0)")
+    p.add_argument("--im", type=_finite, help="imaginary part (default 0)")
     p.set_defaults(func=_cmd_potential)
 
     p = sub.add_parser("omega", help="equilibrium constant")

@@ -31,10 +31,6 @@ from .specfun import complete_E, complete_K, integral_I, integral_I_cheb, theta_
 # Upper boundary of the intermediate regime; 2/(pi-2) ~ 1.7519.
 TAU_CRITICAL = 2.0 / (math.pi - 2.0)
 
-# Evaluation points closer than this to a branch cut are rejected rather
-# than silently resolved to one side.
-ON_CUT_TOL = 1e-13
-
 # Newton on a concave function converges quadratically from the start below;
 # 8 steps suffice at every tau tried.
 _NEWTON_MAX_ITER = 64
@@ -215,22 +211,23 @@ def ratio_root(z, beta: float):
 
 def _points(z, what: str, cuts=()):
     """z as a flat complex array (a scalar runs through the array code too)
-    and its shape.  DomainError if an entry is not finite or on a cut."""
+    and its shape.  DomainError if an entry is not finite or exactly on a
+    cut: Im z = +-0.0 and Re z in one of the closed intervals `cuts`."""
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     if not np.isfinite(flat).all():
         bad = flat[~np.isfinite(flat)][0]
         raise DomainError(f"{what} needs finite points, got z={complex(bad)!r}")
-    near = flat[np.abs(flat.imag) <= ON_CUT_TOL]
-    if cuts and near.size:
+    real = flat[flat.imag == 0.0]
+    if cuts and real.size:
         lo, hi = np.array(cuts).T
-        x = near.real[:, None]
-        hit = (lo - ON_CUT_TOL <= x) & (x <= hi + ON_CUT_TOL)
+        x = real.real[:, None]
+        hit = (lo <= x) & (x <= hi)
         if hit.any():
             i, j = np.argwhere(hit)[0]
             raise DomainError(
-                f"{what} is not defined within {ON_CUT_TOL:g} of the support cut "
-                f"[{cuts[j][0]}, {cuts[j][1]}]; got z={complex(near[i])!r}")
+                f"{what} is not defined on the support cut "
+                f"[{cuts[j][0]}, {cuts[j][1]}]; got z={complex(real[i])!r}")
     return flat, z.shape
 
 
@@ -259,9 +256,16 @@ def _lebesgue_cauchy(z):
 
 
 def _lebesgue_g(z):
-    # The half-difference of the logarithms is _lebesgue_cauchy, their
-    # half-sum the logarithm of sqrt_cut(z, 1): no term cancels at large |z|.
-    return z * _lebesgue_cauchy(z) + np.log(_sqrt_cut_arr(z, 1.0)) - 1.0
+    # From |z| = 2 on, z _lebesgue_cauchy(z) + log sqrt_cut(z, 1): no term
+    # cancels at large |z|.  Closer in, the defining form: next to +-1 the
+    # far form's two terms cancel ~log(1/|z -+ 1|) ulps.
+    out = np.empty_like(z)
+    near = np.abs(z) < 2.0
+    zf = z[~near]
+    out[~near] = zf * _lebesgue_cauchy(zf) + np.log(_sqrt_cut_arr(zf, 1.0)) - 1.0
+    zp, zm = _shift(z[near], 1.0), _shift(z[near], -1.0)
+    out[near] = 0.5 * (zp * np.log(zp) - zm * np.log(zm)) - 1.0
+    return out
 
 
 def lebesgue_g(z):
@@ -283,14 +287,16 @@ def lebesgue_cauchy(z):
 def lebesgue_potential(z):
     """Logarithmic potential of the uniform measure on [-1, 1].
 
-    Equals 1 - (1/2)[(1+x)log(1+x) + (1-x)log(1-x)] on the interval itself
-    and -Re g elsewhere; the two agree at the endpoints (value 1 - log 2).
+    Equals 1 - (1/2)[(1+x)log(1+x) + (1-x)log(1-x)] at real points of the
+    interval (Im z = +-0.0) and -Re g elsewhere, however close to it; the
+    two agree at the endpoints (value 1 - log 2).
     """
     z, shape = _points(z, "lebesgue_potential")
     out = np.empty(z.shape)
-    on = (np.abs(z.imag) <= ON_CUT_TOL) & (np.abs(z.real) <= 1.0)
+    on = (z.imag == 0.0) & (np.abs(z.real) <= 1.0)
     out[on] = 1.0 - 0.5 * _entropy_bracket(z.real[on])
-    out[~on] = -_lebesgue_g(z[~on]).real
+    if not on.all():
+        out[~on] = -_lebesgue_g(z[~on]).real
     return _descalar(out.reshape(shape))
 
 
@@ -418,7 +424,8 @@ def edge_coefficient(tau: float, edge: str) -> float:
 # Cauchy transform
 # ---------------------------------------------------------------------------
 
-# Points per block of the gap-kernel rule: (points x nodes) temporaries ~256 KiB.
+# Points per block of the direct sum: complex (points x nodes) temporaries,
+# at most ~700 KiB (352 nodes at the modulus cap).
 _KERNEL_BLOCK = 128
 
 
@@ -430,70 +437,52 @@ def _cauchy_attractive(tau: float, beta: float, z):
     return 2.0 * tau * np.arctanh(np.reciprocal(r + z) / tau)
 
 
-def _gap_kernel_integral(z, beta: float, r):
-    """∫_{-beta}^{beta} sqrt((1-x^2)/(beta^2-x^2)) dx/(z-x) at the points of
-    z (1-D), all off [-beta, beta], given r = sqrt_cut(z, beta).
-
-    Under x = beta sin(theta), both halves theta = +-(pi/2 - phi) take the
-    nodes of `theta_rule(beta)`, graded into the layer at their ends.
-    From |z| = 2 on the integrand is taken directly, where nothing cancels.
-    Closer in, the value-matched Chebyshev kernel (integral
-    pi / sqrt_cut(z, beta)) is subtracted first; the remainder is smooth up
-    to the cut.
-    """
-    phi, w, root = theta_rule(beta)
-    y = beta * np.cos(phi)
-    y, w, root = np.concatenate((y, -y)), np.tile(w, 2), np.tile(root, 2)
-    q = np.empty(z.shape, complex)
-    for i in range(0, z.size, _KERNEL_BLOCK):
-        zb, rb, qb = z[i:i + _KERNEL_BLOCK], r[i:i + _KERNEL_BLOCK], q[i:i + _KERNEL_BLOCK]
-        far = np.abs(zb) >= 2.0
-        if far.any():
-            qb[far] = np.sum(w * root / (zb[far, None] - y), axis=-1)
-        if not far.all():
-            zn = zb[~far]
-            # (1 - z^2)^{1/2} as a product, so that conjugate points stay
-            # conjugate on the real axis (see _shift)
-            s1z = np.sqrt(_shift(-zn, 1.0)) * np.sqrt(_shift(zn, 1.0))
-            smooth = np.sum(w * (zn[:, None] + y) / (root + s1z[:, None]), axis=-1)
-            qb[~far] = smooth + math.pi * s1z / rb[~far]
-    return q
-
-
 def _cauchy_repulsive(tau: float, beta: float, z):
+    # tau (ratio_root(z, beta) q(z)/2 - atanh(1/z)), q the integral of
+    # sqrt((1-x^2)/(beta^2-x^2))/(z-x) over the gap [-beta, beta].
+    rho = _sqrt_cut_arr(z, beta) / _sqrt_cut_arr(z, 1.0)
     out = np.empty(z.shape, complex)
-    gap = (np.abs(z.imag) <= ON_CUT_TOL) & (np.abs(z.real) < beta)
-    if gap.any():
-        # real and analytic on the real gap, where the principal value of
-        # the kernel integral is 2x I(sqrt(1-x^2), beta)
-        x = z.real[gap]
-        ratio = np.sqrt((beta * beta - x * x) / (1.0 - x * x))
-        pv = 2.0 * x * integral_I(np.sqrt(1.0 - x * x), beta)
-        out[gap] = 0.5 * tau * ratio * pv - tau * np.arctanh(x)
-    z = z[~gap]
-    r = _sqrt_cut_arr(z, beta)
-    out[~gap] = (0.5 * tau * (r / _sqrt_cut_arr(z, 1.0)) * _gap_kernel_integral(z, beta, r)
-                 - tau * _lebesgue_cauchy(z))
-    # Real on the real axis outside [-1, 1] (Schwarz reflection), where the
-    # near branch of the kernel integral cancels two imaginary terms only
-    # to rounding.
-    axis = (z.imag == 0.0) & (np.abs(z.real) > 1.0)
-    out.imag[np.flatnonzero(~gap)[axis]] = 0.0
+    near = np.abs(z) < 2.0
+    if near.any():
+        # Closer in, the real-gap form continued into the plane: there q is
+        # 2x I(sqrt(1 - x^2), beta) and atanh(1/x) reads atanh x.  Formed as
+        # a product (see _shift), sqrt(1 - z^2) has a real part that is a
+        # sum of two nonnegative products, >= 0 as integral_I requires.
+        zn = z[near]
+        s1z = np.sqrt(_shift(-zn, 1.0)) * np.sqrt(_shift(zn, 1.0))
+        out[near] = tau * (zn * rho[near] * integral_I(s1z, beta) - np.arctanh(zn))
+    if not near.all():
+        # From |z| = 2 on, q directly under x = beta sin(theta), the nodes
+        # +-y of theta_rule(beta) paired: q/2 = sum w root/(z - y^2/z).
+        zf = z[~near]
+        phi, w, root = theta_rule(beta)
+        y2 = (beta * np.cos(phi)) ** 2
+        half_q = np.empty(zf.shape, complex)
+        for i in range(0, zf.size, _KERNEL_BLOCK):
+            zb = zf[i:i + _KERNEL_BLOCK, None]
+            half_q[i:i + _KERNEL_BLOCK] = np.sum(w * root / (zb - y2 / zb), axis=-1)
+        out[~near] = tau * (rho[~near] * half_q - np.arctanh(np.reciprocal(zf)))
+    # Real on the real axis outside [-1, 1] (Schwarz reflection), where both
+    # forms cancel two imaginary terms only to rounding.
+    out.imag[(z.imag == 0.0) & (np.abs(z.real) > 1.0)] = 0.0
     return out
 
 
 def cauchy(tau: float, z):
     """Cauchy transform ∫ dμ(x)/(z - x) of the equilibrium measure.
 
-    Takes a point off the support or an array of them; points within 1e-13
-    of a cut are rejected.  One closed form per regime, at every modulus:
+    Takes a point off the support or an array of them; only points exactly
+    on a cut (Im z = +-0.0) are rejected, and a point however close to one
+    answers.  One closed form per regime, at every modulus:
     (1 + tau)/sqrt_cut(z, 1) - tau atanh(1/z) on the full interval,
-    2 tau atanh(1/(tau (sqrt_cut(z, beta) + z))) on one cut, and
-    (tau/2) ratio_root(z, beta) q - tau atanh(1/z) on two, q the gap-kernel
-    integral (its principal value at real points of the gap) on the rule
-    of `theta_rule`.  Relative error within 1e-12 from |z| = 2 to 1e300
-    for tau in [-1e8, 10]; the two-cut terms cancel by a factor ~1 + tau,
-    which sets the error up to tau = 1e7.  Maps conjugates to conjugates.
+    2 tau atanh(1/(tau (sqrt_cut(z, beta) + z))) on one cut.  On two,
+    tau (z ratio_root(z, beta) integral_I(sqrt(1 - z^2), beta) - atanh z)
+    for |z| < 2, the real gap included, and from |z| = 2 on
+    tau ratio_root(z, beta) q/2 - tau atanh(1/z), q the gap-kernel
+    integral on the rule of `theta_rule`.  Relative error within 1e-12
+    from |z| = 2 to 1e300 for tau in [-1e8, 10]; the two-cut terms cancel
+    by a factor ~1 + tau, which sets the error up to tau = 1e7.  Maps
+    conjugates to conjugates.
     """
     sup = support(tau)
     z, shape = _points(z, "cauchy transform", sup.pieces)

@@ -4,10 +4,10 @@ Everything here is hand-rolled from provably convergent schemes: the
 arithmetic-geometric mean for K and E, one graded rule in theta for the
 integrals of sqrt(1 - k^2 sin^2 theta) (`theta_rule`, which the two-cut
 Cauchy transform and equilibrium constant use too), the two-parameter
-integral I(a, k) by that rule, and a cached Chebyshev interpolant of
-I(., k) over the support range of a.  The modulus
-convention is used throughout: the `k` arguments below multiply sin^2
-inside the square root as k^2.
+integral I(a, k) by that rule (at complex a too, for the two-cut
+Cauchy transform), and a cached Chebyshev interpolant of I(., k) over the
+support range of a.  The modulus convention is used throughout: the `k`
+arguments below multiply sin^2 inside the square root as k^2.
 """
 
 from __future__ import annotations
@@ -112,34 +112,36 @@ def integral_I(a, k: float):
     """I(a, k) = ∫_0^{π/2} dθ / (a + √(1 - k² sin²θ)).
 
     Reduces to K(k) at a = 0 and to π / (2(1 + a)) at k = 0.  `a` may be a
-    scalar or an ndarray (k is always scalar); the return matches the shape
-    of `a`.  The nodes are those of `theta_rule(k)` at every k, graded
-    toward θ = π/2, where the square root develops a boundary layer as
-    k -> 1: within ~3e-16 relative of 30-digit references up to
-    k = β(1e9) ≈ 1 - 8e-11.
+    real or complex scalar or ndarray with Re a >= 0, which keeps the
+    denominator √(1-k²) or more from 0 (k is always scalar); the return
+    matches `a` in shape and in being real or complex.  The nodes are
+    those of `theta_rule(k)` at every k, graded toward θ = π/2, where the
+    square root develops a boundary layer as k -> 1: within ~3e-16
+    relative of 30-digit references up to k = β(1e9) ≈ 1 - 8e-11.
 
-    This is the direct quadrature at every a >= 0.  The two-cut density,
-    whose a lie in [0, √(1-k²)], reads `integral_I_cheb` instead, which is
-    built from 24 values of this function; the real gap of the Cauchy
-    transform (a in (√(1-k²), 1]) and the tests call it directly.
+    This is the direct quadrature.  The two-cut density, whose a lie in
+    [0, √(1-k²)], reads `integral_I_cheb` instead, which is built from 24
+    values of this function; the two-cut Cauchy transform takes it at
+    a = √(1 - z²) for every |z| < 2.
     """
-    a_arr = np.asarray(a, dtype=float)
-    if np.any(a_arr < 0.0):
-        raise DomainError("integral_I requires a >= 0")
+    a_arr = np.asarray(a)
+    a_arr = a_arr.astype(np.result_type(a_arr, float), copy=False)
+    if np.any(a_arr.real < 0.0):
+        raise DomainError("integral_I requires Re a >= 0")
     if not (0.0 <= k < _K_MODULUS_CAP):
         raise DomainError(f"integral_I requires 0 <= k < 1 - 1e-12, got k={k!r}")
     _, w, root = theta_rule(k)
     flat = a_arr.ravel()
-    vals = np.empty(flat.shape)
+    vals = np.empty(flat.shape, a_arr.dtype)
     step = max(1, _I_BLOCK // len(w))
-    scratch = np.empty((min(step, flat.size), len(w)))
+    scratch = np.empty((min(step, flat.size), len(w)), a_arr.dtype)
     for i in range(0, flat.size, step):
         terms = scratch[:flat.size - i]
         np.add(flat[i:i + step, None], root, out=terms)
         np.divide(w, terms, out=terms)
         np.sum(terms, axis=-1, out=vals[i:i + step])
     if np.ndim(a) == 0:
-        return float(vals[0])
+        return vals[0].item()
     return vals.reshape(a_arr.shape)
 
 

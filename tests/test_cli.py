@@ -149,7 +149,12 @@ def test_exit_code_2_usage_errors():
                  ["no-such-command", "--tau", "0"],
                  ["density", "--tau", "0", "--n", "1"],
                  ["cauchy", "--tau", "0", "--x", "2", "--re", "2"],
-                 ["cauchy", "--tau", "0"]):        # no evaluation point
+                 ["potential", "--tau", "0", "--x", "0.5", "--im", "0.3"],
+                 ["cauchy", "--tau", "0", "--im", "0.3"],  # no real part
+                 ["cauchy", "--tau", "0"],         # no evaluation point
+                 ["figure", "--name", "extfield", "--n", "-1"],
+                 ["figure", "--name", "fig3", "--n", "0"],
+                 ["figure", "--name", "fig2", "--n", "1"]):
         rc, _, err = run_cli(*argv)
         assert rc == 2, argv
         assert err  # argparse explains itself on stderr

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from logeq._quad import gl_map
-from logeq.equilibrium import (ON_CUT_TOL, TAU_CRITICAL, Regime, Support,
+from logeq.equilibrium import (TAU_CRITICAL, Regime, Support,
                                SupportShape, cauchy,
                                classify_regime, density, edge_coefficient,
                                external_field, g_function, lebesgue_cauchy,
@@ -401,12 +401,16 @@ def test_cauchy_schwarz_and_parity(tau):
 
 
 def test_cauchy_rejects_cut_points():
-    with pytest.raises(DomainError):
-        cauchy(0.0, 0.25)
-    with pytest.raises(DomainError):
-        cauchy(-2.0, complex(0.1, 0.5 * ON_CUT_TOL))
-    with pytest.raises(DomainError):
-        cauchy(2.0, 0.7)
+    # exactly on a cut, from either side of the axis, at the edges too
+    for tau in (-2.0, 0.0, 2.0):
+        for lo, hi in support(tau).pieces:
+            for x in (lo, 0.3 * lo + 0.7 * hi, hi):
+                for zero in (0.0, -0.0):
+                    with pytest.raises(DomainError):
+                        cauchy(tau, complex(x, zero))
+    # 5e-14 above the cut is off it: frozen 40-digit mpmath of the closed form
+    ref = 0.2006706954621453 - 2.0885730336455532j
+    assert abs(cauchy(-2.0, complex(0.1, 5e-14)) - ref) <= 1e-15 * abs(ref)
     # the two-cut gap is legal real ground
     assert abs(cauchy(2.0, 0.0)) <= 1e-12   # odd function on the gap
     assert cauchy(2.0, 0.2).imag == 0.0
@@ -415,8 +419,7 @@ def test_cauchy_rejects_cut_points():
 @pytest.mark.parametrize("tau", [3.0, 10.0])
 def test_cauchy_real_outside_the_interval(tau):
     # Schwarz reflection: real on the real axis off [-1, 1], exactly, as in
-    # the other regimes; the near branch of the kernel integral cancels two
-    # imaginary terms there
+    # the other regimes; the |z| < 2 form cancels two imaginary terms there
     xs = [1.5, -1.5, 1.05, -1.05, 1.9, 2.5, -40.0]
     for x in xs:
         assert cauchy(tau, x).imag == 0.0
@@ -428,7 +431,8 @@ def test_cauchy_real_outside_the_interval(tau):
 
 
 def test_cauchy_repulsive_gap_continuity():
-    # the dedicated real-gap expression must meet the complex evaluation
+    # the real axis of the gap and the plane above it share one formula,
+    # continuous across the gap
     tau = 2.0
     for x in (0.1, -0.3, 0.40):
         gap_val = cauchy(tau, x)
@@ -492,10 +496,56 @@ CAUCHY_TWO_CUT_REFS = [
 @pytest.mark.parametrize("tau,beta,z,ref", CAUCHY_TWO_CUT_REFS)
 def test_cauchy_two_cut_against_mpmath(tau, beta, z, ref):
     # its terms cancel by a factor ~1 + tau, which sets the rounding floor;
-    # the quadrature of q adds nothing to it up to tau = 1e7
+    # the quadrature (of I, or of q past |z| = 2) adds nothing to it up to
+    # tau = 1e7
     assert solve_beta_repulsive(tau) == beta
     assert abs(cauchy(tau, z) - ref) <= 5e-15 * (1.0 + tau) * abs(ref)
     assert abs(cauchy(tau, np.conj(z)) - np.conj(ref)) <= 5e-15 * (1.0 + tau) * abs(ref)
+
+
+# oracle: 40-digit mpmath of the closed forms, the two-cut one with q by
+# mpmath.quad as for CAUCHY_TWO_CUT_REFS, at points 1e-300, 1e-16 and
+# 1e-13 above a cut: the interior of a piece and next to an edge.
+CAUCHY_NEAR_CUT_REFS = [
+    (-2.0, (0.3+1e-300j), (0.6190392084062234-2.0381770277831865j)),
+    (-2.0, (0.3+1e-16j), (0.6190392084062234-2.038177027783186j)),
+    (-2.0, (0.3+1e-13j), (0.6190392084061829-2.0381770277829667j)),
+    (-2.0, (0.8+1e-300j), (2.1972245773362196-1.1713710869143017j)),
+    (-2.0, (0.8+1e-16j), (2.197224577336219-1.171371086914301j)),
+    (-2.0, (0.8+1e-13j), (2.1972245773355494-1.1713710869137461j)),
+    (0.5, (0.3+1e-300j), (-0.15475980210155585-0.7870290916854291j)),
+    (0.5, (0.3+1e-16j), (-0.1547598021015558-0.7870290916854292j)),
+    (0.5, (0.3+1e-13j), (-0.154759802101504-0.7870290916854841j)),
+    (0.5, (0.999+1e-300j), (-1.9001005836250997-32.76400989979637j)),
+    (0.5, (0.999+1e-16j), (-1.9001005836234233-32.76400989979639j)),
+    (0.5, (0.999+1e-13j), (-1.9001005819484686-32.76400989982138j)),
+    (30.0, (0.9915235391222603+1e-300j), (-81.89043313471369-46.46657273478225j)),
+    (30.0, (0.9915235391222603+1e-16j), (-81.89043313471271-46.466572734782424j)),
+    (30.0, (0.9915235391222603+1e-13j), (-81.89043313372797-46.46657273495996j)),
+    (30.0, (0.999+1e-300j), (-114.006035017506-286.915103393652j)),
+    (30.0, (0.999+1e-16j), (-114.00603501748871-286.9151033936535j)),
+    (30.0, (0.999+1e-13j), (-114.00603500022476-286.91510339515276j)),
+]
+
+
+@pytest.mark.parametrize("tau,z,ref", CAUCHY_NEAR_CUT_REFS)
+def test_cauchy_a_hair_off_a_cut(tau, z, ref):
+    # a point however close above or below a cut is off it
+    assert abs(cauchy(tau, z) - ref) <= 2e-15 * abs(ref)
+    assert abs(cauchy(tau, np.conj(z)) - np.conj(ref)) <= 2e-15 * abs(ref)
+
+
+@pytest.mark.parametrize("tau", [2.0, 30.0, 1e3, 1e5])
+def test_two_cut_boundary_value_is_the_density(tau):
+    # -Im C(x +- i 1e-300)/pi is the density itself: the |z| < 2 formula
+    # holds up to the cut
+    lo, hi = support(tau).pieces[-1]
+    x = lo + np.array([0.01, 0.3, 0.5, 0.9, 0.99]) * (hi - lo)
+    x = np.concatenate((x, -x))
+    d = density(tau, x)
+    for y in (1e-300, -1e-300):
+        sp = -np.sign(y) * cauchy(tau, x + 1j * y).imag / math.pi
+        assert np.all(np.abs(sp - d) <= 1e-15 * d)
 
 
 def test_chebyshev_kernel_closed_form():
@@ -548,14 +598,36 @@ def test_lebesgue_functions():
 
 
 def test_lebesgue_transforms_reject_the_interval():
-    # both are defined off [-1, 1]; lebesgue_potential covers the interval
-    for z in (0.5, -1.0, 0.0, complex(1.0, 0.5 * ON_CUT_TOL)):
-        with pytest.raises(DomainError):
-            lebesgue_g(z)
-        with pytest.raises(DomainError):
-            lebesgue_cauchy(z)
+    # both are defined off [-1, 1], exactly on it from either side of the
+    # axis, at the edges too; lebesgue_potential covers the interval
+    for x in (0.5, -1.0, 0.0, 1.0):
+        for zero in (0.0, -0.0):
+            with pytest.raises(DomainError):
+                lebesgue_g(complex(x, zero))
+            with pytest.raises(DomainError):
+                lebesgue_cauchy(complex(x, zero))
     with pytest.raises(DomainError):
         lebesgue_potential(math.nan)
+    # 5e-14 above an edge is off the interval: 40-digit mpmath of the
+    # closed forms
+    z = complex(1.0, 5e-14)
+    ref = -0.3068528194400154 + 8.079975142510622e-13j
+    assert abs(lebesgue_g(z) - ref) <= 1e-15 * abs(ref)
+    ref = 15.659950285021242 - 0.7853981633974358j
+    assert abs(lebesgue_cauchy(z) - ref) <= 1e-15 * abs(ref)
+
+
+@pytest.mark.parametrize("z,ref", [
+    # frozen: 40-digit mpmath of -Re g at the float z
+    (0.3 + 1e-13j, 0.9542994584745301),
+    (1 + 1e-300j, 0.3068528194400547),
+    (-1 + 1e-300j, 0.3068528194400547),
+    (1 - 1e-300j, 0.3068528194400547),
+    (-1 - 1e-300j, 0.3068528194400547),
+])
+def test_lebesgue_potential_a_hair_off_the_interval(z, ref):
+    # -Re g, not the interval formula, which is off by ~(pi/2)|Im z|
+    assert abs(lebesgue_potential(z) - ref) <= 5e-16 * ref
 
 
 def test_lebesgue_transforms_at_large_modulus():
@@ -610,8 +682,8 @@ def test_potential_complex_matches_real_axis_limit():
     (0.5, 1.0, 0.8862938869682485),
 ])
 def test_potential_just_outside_a_support_edge(tau, edge, ref):
-    # within ON_CUT_TOL outside an edge, real points get -Re g, which is
-    # continuous with the values on either side
+    # real points just outside an edge get -Re g, which is continuous with
+    # the values on either side
     x = edge + 5e-14
     v = potential(tau, x)
     assert potential(tau, -x) == v

@@ -273,6 +273,12 @@ def test_verify_sp_error_far_into_the_attractive_regime():
     assert verify(-1e8).sp_error <= 1e-4
 
 
+def test_verify_sp_error_on_the_narrowest_two_cut_pieces():
+    # pieces of width ~1e-8: the boundary-value offsets come within 1e-13
+    # of the cuts, and every point off a cut answers
+    assert verify(1e7).sp_error <= 1e-4
+
+
 def test_verify_reuses_the_omega_routes(monkeypatch):
     # omega's cache holds both route values; verify reads its spread there
     import logeq.series as series_mod

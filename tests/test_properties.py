@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logeq.equilibrium import (ON_CUT_TOL, TAU_CRITICAL, _omega_repulsive,
+from logeq.equilibrium import (TAU_CRITICAL, _omega_repulsive,
                                cauchy, density, external_field, g_function,
                                lebesgue_cauchy, lebesgue_g, lebesgue_potential,
                                omega, potential, support)
@@ -121,15 +121,25 @@ def test_one_non_finite_entry_raises(tau, pts, at, bad):
 
 @PROPERTY
 @given(tau=TAUS, pts=_points(COORD), at=st.integers(0, 8),
-       where=st.floats(0.0, 1.0), dy=st.floats(-ON_CUT_TOL, ON_CUT_TOL))
-def test_one_entry_on_a_cut_raises(tau, pts, at, where, dy):
+       where=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       zero=st.sampled_from([0.0, -0.0]), dy=st.floats(1e-300, 1e-13))
+def test_one_entry_on_a_cut_raises(tau, pts, at, where, zero, dy):
+    # exactly on a cut, from either side of the axis and at the edges too;
+    # a point however close above or below it is off the cut and answers
     lo, hi = support(tau).pieces[-1]
-    on_cut = complex(lo + where * (hi - lo), dy)
+    x = min(max(lo + where * (hi - lo), lo), hi)
     z = _off_cut(tau, pts)
-    z = np.insert(z, min(at, z.size), on_cut)
+    i = min(at, z.size)
     for fn in (cauchy, g_function):
         with pytest.raises(DomainError):
-            fn(tau, z)
+            fn(tau, np.insert(z, i, complex(x, zero)))
+    for near in (complex(x, dy), complex(x, -dy)):
+        got = cauchy(tau, np.insert(z, i, near))
+        assert np.isfinite(got).all()
+        assert _close(got[i], cauchy(tau, near), 1e-15)
+        assert cauchy(tau, near.conjugate()) == got[i].conjugate()
+        if tau <= TAU_CRITICAL:  # no closed-form g in the repulsive regime
+            assert np.isfinite(g_function(tau, np.insert(z, i, near))).all()
 
 
 @pytest.mark.parametrize("tau", [-2.0, 0.5, 2.0])

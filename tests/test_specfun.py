@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from logeq.equilibrium import TAU_CRITICAL, solve_beta_repulsive
+from logeq.errors import DomainError
 from logeq.specfun import (_cache_line_rows, complete_E, complete_K, integral_I,
                            integral_I_cheb)
 
@@ -88,6 +89,38 @@ I_NEAR_ONE_REFS = [
 def test_integral_I_next_to_the_modulus_cap(a, k, ref):
     # the layer of width sqrt(1 - k) at theta = pi/2 is resolved at every k
     assert abs(integral_I(a, k) - ref) <= 1e-15 * ref
+
+
+# oracle: mpmath.quad (dps 40) of the defining integral in phi = pi/2 -
+# theta, with breakpoints halving toward phi = 0, at complex a with
+# Re a >= 0 (the range of sqrt(1 - z^2) over |z| < 2), at k = 0.6 and at
+# the double k = solve_beta_repulsive(1e5)
+I_COMPLEX_REFS = [
+    ((0.3+0.4j), 0.6, (1.178116808645903-0.3942556649551156j)),
+    ((0.001-0.5j), 0.6, (1.3310723628853227+0.7433613545494105j)),
+    ((1.2+2j), 0.6, (0.39199676683913803-0.37327914161396575j)),
+    ((2.2-0.1j), 0.6, (0.5059904359672918+0.016324582038291135j)),
+    (1e-300j, 0.6, (1.7507538029157526-1.9634954084936207e-300j)),
+    ((0.3+0.4j), 0.9999986281442431, (1.4399075509986525-0.7856195821666443j)),
+    ((0.001-0.5j), 0.9999986281442431, (1.2918193350927543+1.402838853351658j)),
+    ((1.2+2j), 0.9999986281442431, (0.3848969275667173-0.4303751541568345j)),
+    ((2.2-0.1j), 0.9999986281442431, (0.5600522021267297+0.020264066190550805j)),
+    (1e-300j, 0.9999986281442431, (7.789398854670247-9.483110325025033e-298j)),
+]
+
+
+@pytest.mark.parametrize("a,k,ref", I_COMPLEX_REFS)
+def test_integral_I_at_complex_a(a, k, ref):
+    got = integral_I(a, k)
+    assert type(got) is complex
+    assert abs(got - ref) <= 1e-15 * abs(ref)
+    assert integral_I(np.array([a, np.conj(a)]), k)[1] == np.conj(got)
+
+
+def test_integral_I_rejects_negative_real_part():
+    for a in (-0.1, -1e-300 + 1j, np.array([0.5, -0.5j - 1e-3])):
+        with pytest.raises(DomainError):
+            integral_I(a, 0.6)
 
 
 def test_integral_I_limits():
