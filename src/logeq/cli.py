@@ -248,6 +248,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_figure)
 
+    # usage errors found after parsing are reported by the subcommand's parser
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -255,7 +258,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -126,8 +126,9 @@ def pv_integral(kernel: str, beta: float, x: float) -> float:
 # Quadrature of the equilibrium measure
 # ---------------------------------------------------------------------------
 
-# Points per chunk of potential_quad, so its node arrays stay small.
-_Z_CHUNK = 16
+# Points per block of potential_quad, and per chunk of a block on the
+# shared rows, so that its node arrays stay small.
+_BLOCK, _Z_CHUNK = 256, 32
 
 # From this modulus on, log|z - x| rounds to log|z| for every x in [-1, 1]
 # (|x/z| <= 1e-100), and squared distances could overflow further out:
@@ -143,9 +144,10 @@ _LOG_ORDER = 24
 # the plain rule, then carries less than 1e-16 of the potential.
 _MAX_DEPTH = 60
 
-# Halvings of the edge rule toward its edge: its innermost panel, [0, h] in
-# t, ends at 2^-20 of the span.
-_EDGE_PANELS = 20
+# Rungs of the row potential_quad shares between points: dyadic panels from
+# each edge of a piece of half-length L down to L 2^-_RUNGS, then an edge
+# rule halving as many times, its innermost panel ending at L 2^-30.
+_RUNGS = 10
 
 
 @lru_cache(maxsize=1)
@@ -176,25 +178,19 @@ def _product_log_rule():
     return u, w, v
 
 
-def _edge_rule(length, order: int = 16):
-    """Quadrature on [0, length] in the edge variable t with offset t^2 (one
-    row of nodes per entry of `length`), returned as (off, w) where off = t^2.
-    The offset is handed back instead of the abscissa so density and kernel
-    values can be formed from it directly; building x first would round the
-    offset away near the edge and lose the sliver there (which carries
-    ~sqrt(off) of mass)."""
-    span = np.sqrt(length)[..., None]
-    t_unit, w_unit = graded_rule(1.0, _EDGE_PANELS, order)
-    t = span * t_unit
-    return t * t, 2.0 * t * (span * w_unit)
-
-
-def _edge_segment(edge: float, inner, order: int = 16):
-    """The edge rule between a support edge and interior points (one row per
-    point of `inner`), as (off, s, w): the nodes are edge + s off."""
-    inner = np.asarray(inner, float)
-    off, w = _edge_rule(np.abs(inner - edge), order)
-    return off, np.where(inner > edge, 1.0, -1.0)[..., None], w
+@lru_cache(maxsize=64)
+def _unit_row(depth: int, order: int = 16):
+    """Offsets from an edge, and weights, of the row of a half-piece of unit
+    length (read-only, cached): an edge rule on [0, 2^-depth] in t, the
+    offset being t^2, halving _RUNGS times toward the edge, then panels
+    D_i = [2^-i, 2^(1-i)], i = depth, ..., 1.  An abscissa would round the
+    offset away near the edge, and lose the sliver there (~sqrt(offset) of
+    mass): values are formed from offsets."""
+    t, w = graded_rule(0.5 ** (0.5 * depth), _RUNGS, order)
+    d, w_d = composite_nodes(0.5 ** np.arange(depth, -1, -1.0), order)
+    off, w = np.concatenate((t * t, d)), np.concatenate((2.0 * t * w, w_d))
+    off.flags.writeable = w.flags.writeable = False
+    return off, w
 
 
 def measure_quadrature(tau: float, f=None) -> complex | float:
@@ -202,17 +198,17 @@ def measure_quadrature(tau: float, f=None) -> complex | float:
 
     f is a vectorized callable of a real ndarray (default: constant 1, so
     the result is the total mass).  Each support piece is split at its
-    midpoint into the edge segments of potential_quad, in every regime, with
-    64 nodes per panel: the outer panel spans 3/4 of a segment, and f may
-    vary there (1/(z - x) at 0.05 from the cut is good to ~1e-14).
+    midpoint into two edge rules (_unit_row), in every regime, with 64 nodes
+    per panel: the outer panel spans 3/4 of a half-piece, and f may vary
+    there (1/(z - x) at 0.05 from the cut is good to ~1e-14).
     """
     if f is None:
         f = lambda x: np.ones_like(x)
-    total = 0.0
+    total, (off, w) = 0.0, _unit_row(0, 64)
     for lo, hi in support(tau).pieces:
-        for edge in (lo, hi):
-            off, s, w = _edge_segment(edge, 0.5 * (lo + hi), 64)
-            total += np.sum(w * f(edge + s * off) * _density_offset(tau, edge, off))
+        x_off, x_w = 0.5 * (hi - lo) * off, 0.5 * (hi - lo) * w
+        for edge, s in ((lo, 1.0), (hi, -1.0)):
+            total += np.sum(x_w * f(edge + s * x_off) * _density_offset(tau, edge, x_off))
     total = complex(total)
     return total if total.imag != 0.0 else total.real
 
@@ -221,20 +217,27 @@ def measure_quadrature(tau: float, f=None) -> complex | float:
 # Potential by quadrature
 # ---------------------------------------------------------------------------
 
-def _edge_sums(edge: float, off, s, w, z: np.ndarray) -> np.ndarray:
-    """Sum of w log|z - x| over the nodes x = edge + s off of an edge segment,
-    one row shared by all points of z, the density folded into w.
-
-    Works on real arrays, in place where it can: log|z - x| is taken as
-    log((s off - (Re z - edge))^2 + (Im z)^2) / 2, which needs neither a
-    complex temporary nor a hypot per node, and keeps the distance exact
-    for points next to the edge."""
-    d2 = s * off - (z.real[:, None] - edge)
-    d2 *= d2
-    d2 += z.imag[:, None] ** 2
-    d2 = np.log(d2, out=d2)
-    d2 *= w
-    return 0.5 * np.sum(d2, axis=-1)
+def _edge_sums(edge, off, s, w, z: np.ndarray, cut) -> np.ndarray:
+    """Sum of w log|z - x| over the nodes x = edge + s off of a row shared by
+    all points of z, the density folded into w (rows of several edges may
+    stack before the last two axes of w), but the nodes from cut[0] up to
+    cut[1] (per row and point).  log|z - x| is taken, in place on real
+    arrays, as log((s off - (Re z - edge))^2 + (Im z)^2) / 2: exact
+    distances next to the edge."""
+    out, node = np.empty(np.shape(w)[:-2] + z.shape), np.arange(np.size(off))
+    for i in range(0, z.size, _Z_CHUNK):
+        c = slice(i, i + _Z_CHUNK)
+        d2 = s * off - (z[c].real[:, None] - edge)
+        d2 *= d2
+        if z[c].imag.any():
+            d2 += z[c].imag[:, None] ** 2
+        if cut[1, ..., c].any():
+            # log 1 = 0: a node left out adds nothing
+            np.putmask(d2, (cut[0, ..., c, None] <= node) & (node < cut[1, ..., c, None]), 1.0)
+        d2 = np.log(d2, out=d2)
+        d2 *= w
+        out[..., c] = 0.5 * np.sum(d2, axis=-1)
+    return out
 
 
 def _graded_toward_zero(span, target):
@@ -260,11 +263,9 @@ def _graded_toward_zero(span, target):
 def _edge_panel_sums(tau: float, edge: float, s, h: float, z: np.ndarray) -> np.ndarray:
     """Quadrature of log|z - x| over the innermost panel of an edge rule,
     x = edge + s t^2 for t in [0, h], for points z off the piece within h^2
-    of the edge.  There the kernel is singular at |t| = sqrt|z - edge|, inside
-    the panel, where its plain 16 nodes miss it (by 3e-9 at the edge itself).
-    Here panels halve toward t = 0 down to that distance; a point on the edge
-    takes log t^2 by product weights, the density 2t rho(t^2) being smooth in
-    t at every edge."""
+    of the edge, where the kernel is singular at |t| = sqrt|z - edge|: panels
+    halve toward t = 0 down to that distance, and a point on the edge takes
+    log t^2 by product weights (2t rho(t^2) is smooth in t at every edge)."""
     zeta = z - edge
     at_edge = np.abs(zeta) == 0.0
     # a point on the edge needs no halving: the product weights take it
@@ -276,75 +277,88 @@ def _edge_panel_sums(tau: float, edge: float, s, h: float, z: np.ndarray) -> np.
     return np.sum(2.0 * t * w * _density_offset(tau, edge, off), axis=-1)
 
 
-def _on_piece_sums(tau: float, near: float, far: float, z: np.ndarray) -> np.ndarray:
-    """Quadrature of log|z - x| over the support piece between the edges
-    `near` and `far`, for points whose real part x* lies inside it, at
-    distance delta from `near` and no farther from `far`.
-
-    Each side of x* splits at half its distance to the edge there: the edge
-    rule covers the outer half, and the inner half gets panels graded
-    toward x* down to delta (or to |Im z| if smaller), then one innermost
-    panel [0, h] of 24 nodes: for a real point its product weights take
-    log|x - x*| exactly, and for any other point the plain rule suffices,
-    the panel being no longer than |Im z|.  The density is smooth on every
-    inner panel, the edges lying at least delta away.  Nodes are kept as
-    distances from x* and as offsets from an edge, both exact however close
-    x* lies to `near`; the inner nodes on both sides take their offsets
-    from `near`, so that one density call covers them and the near edge
-    segment, and a second the far one."""
+def _span_rule(far: float, half: float, delta, j, z: np.ndarray):
+    """Offsets from the nearer edge, and weights with log|z - x| folded in,
+    of the rule for the span a point of z on rung j, delta from that edge,
+    leaves out of the shared row: from the start of D_j to the far end of
+    D_(j-2), or of the far edge's D_1 if j <= 2.  It splits at x* = Re z,
+    each side graded toward x* down to delta/2 toward the edge and delta
+    away from it, or |Im z| if less; the edges lie delta/4 or more away."""
+    to_far = np.where(j >= 3, np.ldexp(half, 3 - j) - delta, np.abs(far - z.real) - 0.5 * half)
+    target = np.stack((0.5 * delta, delta))
+    r, w, w_log = _graded_toward_zero(
+        np.stack((delta - np.ldexp(half, -j), to_far)),
+        np.where(z.imag == 0.0, target, np.minimum(target, np.abs(z.imag))))
     y2 = (z.imag ** 2)[:, None]
-    delta = np.abs(z.real - near)
-    dist = np.stack((delta, np.abs(far - z.real)))
-    target = np.where(z.imag == 0.0, delta, np.minimum(delta, np.abs(z.imag)))
-    half = 0.5 * dist
-    r, w, w_log = _graded_toward_zero(half, target)
     w *= 0.5 * np.log(r * r + y2)
     w[..., :_LOG_ORDER] = np.where(y2 == 0.0, w_log, w[..., :_LOG_ORDER])
-    off, w_edge = _edge_rule(half)
-    w_edge *= 0.5 * np.log((dist[..., None] - off) ** 2 + y2)
-    delta = delta[:, None]
-    off_near = np.concatenate((off[0], delta - r[0], delta + r[1]), axis=-1)
-    w_near = np.concatenate((w_edge[0], w[0], w[1]), axis=-1)
-    total = np.sum(w_near * _density_offset(tau, near, off_near), axis=-1)
-    return total + np.sum(w_edge[1] * _density_offset(tau, far, off[1]), axis=-1)
+    return delta[:, None] + np.array([-1.0, 1.0])[:, None, None] * r, w
 
 
 def _log_kernel_sums(tau: float, sup: Support, z: np.ndarray) -> np.ndarray:
     """Quadrature of log|z - x| against the measure, for each point of z (1-D).
 
-    Points off a piece share its two edge segments to its midpoint, built
-    once per call and only if some point needs them, and the few within the
-    innermost panel's reach of an edge trade that panel for their own
-    (_edge_panel_sums); points on a piece get their own rule
-    (_on_piece_sums), taken in two groups by the nearer edge."""
-    total = np.zeros(z.shape)
+    Each piece of half-length L has a row shared by the points of a block of
+    _BLOCK: _unit_row(_RUNGS) from each edge, scaled by L, the density
+    folded in once.  A point on the piece, delta from its nearer edge, on
+    the rung j with L 2^-j <= delta/2 < L 2^(1-j), leaves out D_j, D_(j-1),
+    D_(j-2) and (j <= 2) the far edge's D_1 for _span_rule, so that every
+    panel it keeps lies at least half its length away; past rung _RUNGS it
+    takes the row of its rung for the nearer edge.  A point off the piece
+    near an edge trades the innermost edge panel (_edge_panel_sums).  The
+    density depends on an edge only through |edge| (the measure is even):
+    one call per |edge| serves rows and spans.  No point's sum depends on
+    the other points of z."""
+    if z.size > _BLOCK:
+        return np.concatenate([_log_kernel_sums(tau, sup, z[i:i + _BLOCK])
+                               for i in range(0, z.size, _BLOCK)])
+    (off_unit, w_unit), s = _unit_row(_RUNGS), np.array([1.0, -1.0])[:, None, None]
+    n, size = off_unit.size - 16 * _RUNGS, off_unit.size  # D_i starts at n + 16 (depth - i)
+    total, pieces, spans, folded = np.zeros(z.shape), [], {}, {}
     for lo, hi in sup.pieces:
-        on = (lo < z.real) & (z.real < hi)
-        mid = 0.5 * (lo + hi)
-        outside = np.flatnonzero(~on)
-        if outside.size:
-            rows = []
-            for edge in (lo, hi):
-                off, s, w = _edge_segment(edge, mid)
-                rows.append((edge, off, s, w * _density_offset(tau, edge, off)))
-            for i in range(0, outside.size, _Z_CHUNK):
-                idx = outside[i:i + _Z_CHUNK]
-                for row in rows:
-                    total[idx] += _edge_sums(*row, z[idx])
-            for edge, off, s, w in rows:
-                # the innermost panel of this edge rule: [0, h] in t, its
-                # first 16 nodes
-                h = math.sqrt(abs(mid - edge)) * 0.5 ** _EDGE_PANELS
-                close = outside[np.abs(z[outside] - edge) < h * h]
-                for i in range(0, close.size, _Z_CHUNK):
-                    idx = close[i:i + _Z_CHUNK]
-                    total[idx] += (_edge_panel_sums(tau, edge, s, h, z[idx])
-                                   - _edge_sums(edge, off[:16], s, w[:16], z[idx]))
-        for near, far, side in ((lo, hi, z.real <= mid), (hi, lo, z.real > mid)):
-            inside = np.flatnonzero(on & side)
-            for i in range(0, inside.size, _Z_CHUNK):
-                idx = inside[i:i + _Z_CHUNK]
-                total[idx] += _on_piece_sums(tau, near, far, z[idx])
+        half = 0.5 * (hi - lo)
+        inside = (lo < z.real) & (z.real < hi)
+        cut = np.zeros((2, 2, z.size), int)  # nodes left out: (start, stop), edge, point
+        on, upper = np.flatnonzero(inside), np.zeros(0, int)
+        if on.size:
+            upper = (z.real[on] > 0.5 * (lo + hi)).astype(int)
+            delta = np.where(upper, hi - z.real[on], z.real[on] - lo)
+            # the rung from the exponent of delta/2L, which rounding can carry up
+            j = 1 - np.frexp(0.5 * delta / half)[1]
+            j += np.ldexp(half, -j) > 0.5 * delta
+            start = n + 16 * (_RUNGS - j)
+            cut[:, upper, on] = np.where(j > _RUNGS, [[0], [size]],
+                                         (start, start + 16 * np.minimum(j, 3)))
+            cut[:, 1 - upper, on] = np.where(j <= 2, [[size - 16], [size]], 0)
+        h = math.sqrt(half * 0.5 ** (3 * _RUNGS))  # innermost edge panel: [0, h] in t
+        for k, (near, far) in enumerate(((lo, hi), (hi, lo))):
+            close = (np.abs(z - near) < h * h) & ~inside
+            if close.any():
+                cut[1, k, close] = 16
+                total[close] += _edge_panel_sums(tau, near, s[k], h, z[close])
+            group = spans.setdefault((abs(near), half), (near, []))[1]
+            pts = upper == k
+            if not pts.any():
+                continue
+            group.append((on[pts], *_span_rule(far, half, delta[pts], j[pts], z[on[pts]])))
+            # past rung _RUNGS, the row of the point's rung, less D_rung .. D_(rung-2)
+            for rung in np.unique(j[pts & (j > _RUNGS)]) if j[pts].max() > _RUNGS else ():
+                row, w_row = (half * a for a in _unit_row(rung))
+                w_row *= _density_offset(tau, near, row)
+                idx = on[pts & (j == rung)]
+                skip = np.broadcast_to([[n], [n + 48]], (2, idx.size))
+                total[idx] += _edge_sums(near, row, s[k], w_row, z[idx], skip)
+        pieces.append((np.array([lo, hi])[:, None, None], half, cut))
+    for key, (edge, group) in spans.items():
+        rho = _density_offset(tau, edge, np.concatenate(
+            [key[1] * off_unit] + [off.ravel() for _, off, _ in group]))
+        folded[key], end = key[1] * w_unit * rho[:size], size
+        for idx, off, w in group:
+            end += off.size
+            total[idx] += np.sum(w * rho[end - off.size:end].reshape(off.shape), axis=(0, -1))
+    for edges, half, cut in pieces:
+        w = np.stack([folded[abs(edge), half] for edge in edges.flat])[:, None]
+        total += np.sum(_edge_sums(edges, half * off_unit, s, w, z, cut), axis=0)
     return total
 
 
@@ -352,20 +366,14 @@ def potential_quad(tau: float, z):
     """Logarithmic potential of the equilibrium measure, by quadrature only.
 
     z is a finite point (giving a float) or an array of them (giving an
-    array of its shape).  Square-root substitutions take the edges; a point
-    whose real part lies on a piece splits it there, with panels graded
-    toward the split and a product rule for the log singularity at a real
-    point (_on_piece_sums); points off a piece share one rule for it, save
-    its innermost edge panel for a point closer to that edge than 2^-40 of
-    the half-piece, on the edge too (_edge_panel_sums).
-    Against the closed forms (tau from -8 to 2/(pi - 2)) the error is
-    ~4e-16 max(1, |tau|) on the support, up to 1e-13 from an edge, and
-    ~1e-15 off it, 2.3e-13 at complex points within 1e-2 of an edge; in
-    the two-cut regime U + tau V stays within 1e-12 of omega on the
-    support from tau = 2 to 1e3.  Works in every regime; this is the
-    verification route for the closed forms (and the only potential route
-    in the repulsive regime).  From |z| = 1e100 on the value is -log|z|,
-    exact there.
+    array of its shape); the rules are those of _log_kernel_sums.  Against
+    the closed forms (tau from -8 to 2/(pi - 2)) the error is
+    ~3e-16 max(1, |tau|) on the support, an ulp from an edge too, and
+    ~3e-15 off it, 2e-13 at complex points within 1e-2 of an edge;
+    two-cut, U + tau V stays within 3e-13 of omega on the support from
+    tau = 2 to 1e3.  The verification route for the closed forms, and the
+    only potential route in the repulsive regime.  From |z| = 1e100 on the
+    value is -log|z|, exact.
     """
     flat, shape = _points(z, "potential_quad")
     out = np.empty(flat.shape)

@@ -157,7 +157,10 @@ def test_exit_code_2_usage_errors():
                  ["figure", "--name", "fig2", "--n", "1"]):
         rc, _, err = run_cli(*argv)
         assert rc == 2, argv
-        assert err  # argparse explains itself on stderr
+        # argparse explains itself on stderr, with the usage of the
+        # subcommand when there is one
+        usage = "usage: logeq" if argv[0] == "no-such-command" else f"usage: logeq {argv[0]} "
+        assert err.startswith(usage.encode()), (argv, err)
 
 
 def test_exit_code_3_domain_errors():

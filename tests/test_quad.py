@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 from logeq._quad import composite_nodes, geometric_breaks, gl_map
-from logeq.equilibrium import (TAU_CRITICAL, external_field, omega, potential,
-                               support)
+from logeq.equilibrium import (TAU_CRITICAL, SupportShape, external_field, omega,
+                               potential, support)
 from logeq.errors import DomainError
-from logeq.oracle import (_edge_segment, _product_log_rule, _support_grid,
-                          potential_quad)
+from logeq.oracle import _product_log_rule, _support_grid, _unit_row, potential_quad
 from logeq.specfun import integral_I, theta_rule
 
 
@@ -72,16 +71,17 @@ def test_integral_I_blocks_match_one_broadcast(k):
 
 
 @pytest.mark.parametrize("order", [16, 64])
-def test_edge_segment_integrates_polynomials(order):
-    # one unit-span rule scaled to each segment, on either side of the edge:
-    # in the offset x = t^2 its weights integrate x^k on [0, |inner - edge|]
-    inner = np.array([[0.2, 0.5 + 1e-9], [0.9, 0.7123]])
-    off, s, w = _edge_segment(0.5, inner, order)
-    assert np.all(s[..., 0] == np.where(inner > 0.5, 1.0, -1.0))
-    length = np.abs(inner - 0.5)
-    for k in range(4):
-        exact = length ** (k + 1) / (k + 1)
-        assert np.all(np.abs(np.sum(w * off ** k, axis=-1) - exact) <= 1e-14 * exact)
+def test_unit_row_integrates_polynomials(order):
+    # one unit row per depth, scaled to each half-piece: in the offset x its
+    # weights integrate x^k on [0, half], and its offsets rise from the edge
+    for depth in (0, 1, 10, 54):
+        off, w = _unit_row(depth, order)
+        assert np.all(np.diff(off) > 0.0) and 0.0 < off[0] and off[-1] < 1.0
+        for half in (0.2, 0.5 + 1e-9, 0.7123):
+            for k in range(4):
+                exact = half ** (k + 1) / (k + 1)
+                got = np.sum(half * w * (half * off) ** k)
+                assert abs(got - exact) <= 1e-14 * exact, (depth, half, k)
 
 
 def _probe_points(tau):
@@ -182,9 +182,51 @@ def test_two_cut_flatness_next_to_the_edges():
     assert np.max(np.abs(potential_quad(tau, xs) + external_field(tau, xs) - w)) <= 1e-10
 
 
+def _seam_points(lo, hi):
+    # delta = L 2^-k from either edge, where the rung of a point flips (past
+    # k = 9 the point takes the row of its own rung), and the midpoint, each
+    # with its neighbours an ulp to either side
+    half = 0.5 * (hi - lo)
+    xs = np.array([0.5 * (lo + hi)] + [e + s * np.ldexp(half, -k)
+                                       for k in range(14) for e, s in ((lo, 1.0), (hi, -1.0))])
+    return np.concatenate([np.nextafter(xs, -np.inf), xs, np.nextafter(xs, np.inf)])
+
+
+@pytest.mark.parametrize("tau", [-8.0, -2.0, -1.001, 0.5, TAU_CRITICAL])
+def test_potential_quad_at_the_rung_seams(tau):
+    lo, hi = support(tau).pieces[0]
+    xs = _seam_points(lo, hi)
+    err = np.abs(potential_quad(tau, xs) - potential(tau, xs))
+    assert np.max(err) <= 1e-11 * max(1.0, abs(tau))
+
+
+@pytest.mark.parametrize("tau", [2.0, 3.0, 30.0, 1e3])
+def test_two_cut_flatness_at_the_rung_seams(tau):
+    xs = np.concatenate([_seam_points(lo, hi) for lo, hi in support(tau).pieces])
+    err = np.abs(potential_quad(tau, xs) + external_field(tau, xs) - omega(tau))
+    assert np.max(err) <= 1e-12
+
+
+@pytest.mark.parametrize("tau", [-2.0, 0.5, TAU_CRITICAL, 2.0, 3.0, 30.0, 1e3])
+def test_potential_quad_batch_with_a_point_an_ulp_inside_an_edge(tau):
+    # the deep point takes the row of its own rung; the others keep theirs
+    sup = support(tau)
+    lo, hi = sup.pieces[-1]
+    xs = np.concatenate([[np.nextafter(hi, lo)], _support_grid(sup, 40, 1e-3),
+                         [np.nextafter(lo, hi)]])
+    batch = potential_quad(tau, xs)
+    assert np.all(np.abs(batch - [potential_quad(tau, x) for x in xs]) <= 1e-13)
+    if sup.shape is SupportShape.TWO_CUT:
+        err = np.abs(batch + external_field(tau, xs) - omega(tau))
+        assert np.max(err) <= 1e-12
+    else:
+        err = np.abs(batch - potential(tau, xs))
+        assert np.max(err) <= 1e-11 * max(1.0, abs(tau))
+
+
 def _count_density_points(monkeypatch):
     import logeq.oracle as oracle_mod
-    counts = {"density": 0, "all": 0}
+    counts = {"density": 0, "all": 0, "calls": 0}
     real_density, real_offset = oracle_mod.density, oracle_mod._density_offset
 
     def density(tau, x):
@@ -194,6 +236,7 @@ def _count_density_points(monkeypatch):
 
     def offset(tau, edge, off):
         counts["all"] += np.size(off)
+        counts["calls"] += 1
         return real_offset(tau, edge, off)
 
     monkeypatch.setattr(oracle_mod, "density", density)
@@ -202,16 +245,18 @@ def _count_density_points(monkeypatch):
 
 
 def test_potential_quad_density_evaluations(monkeypatch):
-    # A point on a piece pays for its own rule only: ~860 density values,
-    # two edge rules of 336 and ~190 on the graded and product panels, of
-    # which none through the public density.  Points off a piece share its
-    # rule, so the gap grid costs the same for 20 points as for 200.
+    # The rows of the pieces are shared by all points; a point on a piece
+    # adds only the ~110 nodes of the span it leaves out of them, and one
+    # density call per |edge| and block of 256 points takes rows and spans
+    # together, none through the public density.  Points off a piece take
+    # its row whole, so the gap grid costs the same for 20 points as for 200.
     counts = _count_density_points(monkeypatch)
     tau = 3.0 + 1e-7 * math.pi
     sup = support(tau)
     potential_quad(tau, _support_grid(sup, 200, 1e-3))
-    assert counts["density"] <= 250 * 200
-    assert counts["all"] <= 1000 * 200
+    assert counts["density"] == 0
+    assert counts["all"] <= 50_000
+    assert counts["calls"] <= 12
     gap = []
     for n in (20, 200):
         counts["all"] = 0
