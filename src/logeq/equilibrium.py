@@ -11,9 +11,10 @@ total charge tau).  Depending on tau the minimizing measure lives on
 
 This module owns the regime classification, the support endpoints, the
 density, the Cauchy transform with correct branch cuts, the g-function, the
-logarithmic potential, and the equilibrium constant omega.  Each function
-of a point takes one point (giving a Python float or complex) or an array
-(giving an array of its shape, rejected if any entry is invalid).
+logarithmic potential, and the equilibrium constant omega (on two cuts one
+theta-rule integral, checked by the double integral of `series`).  Each
+function of a point takes one point (giving a Python float or complex) or
+an array (giving an array of its shape, rejected if any entry is invalid).
 """
 
 from __future__ import annotations
@@ -554,47 +555,45 @@ def potential(tau: float, z):
     return _descalar(out.reshape(shape))
 
 
-# Up to this beta^2 (tau ~ 9.55) the series answers, checked by the integral
-# route; it needs ~270 terms there and its cost grows like (1 - beta^2)^-1.
-# Above, the integral answers, checked by the flatness of the potential.
-_SERIES_MAX_B2 = 0.9
+def _omega_theta(tau: float) -> float:
+    """The two-cut omega, the two-cut g-function taken at z = 1:
 
-# Where the flatness route evaluates the potential: fractions of [beta, 1].
-_FLATNESS_POINTS = np.array([0.3, 0.7])
+        (tau + m) log 2 - (m + tau (1 - beta)) log k'
+            - tau ∫_0^{pi/2} beta sin(phi) log(r + beta sin(phi)) dphi,
+
+    k' = sqrt(1 - beta^2), r = sqrt(k'^2 + beta^2 sin^2 phi), on the nodes
+    of `theta_rule(beta)`; no term cancels as beta -> 1.  m = tau (E - 1)
+    = tau k'^2 ∫ cos^2 phi/(r + sin phi) dphi is the mass of the density
+    at the double beta, 1 at the exact root."""
+    beta = solve_beta_repulsive(tau)
+    kp2 = (1.0 - beta) * (1.0 + beta)
+    phi, w, root = theta_rule(beta)
+    sin_phi = np.sin(phi)
+    bs = beta * sin_phi
+    m = tau * kp2 * float(np.sum(w * np.cos(phi) ** 2 / (root + sin_phi)))
+    return ((tau + m) * math.log(2.0) - (m + tau * (1.0 - beta)) * 0.5 * math.log(kp2)
+            - tau * float(np.sum(w * bs * np.log(root + bs))))
 
 
 @lru_cache(maxsize=1024)
 def _omega_repulsive(tau: float) -> tuple[tuple[str, float], tuple[str, float]]:
-    """The answering route to the two-cut omega and the route checking it,
-    each as (name, value).
-
-    beta^2 <= 0.9: the coefficient series, checked by the integral route.
-    Above: the integral route, checked by flatness, potential_quad plus the
-    external field at two points of [beta, 1]; of those two values the one
-    farther from the integral is kept.
-    """
-    from .series import omega_integral, omega_series
-    beta = solve_beta_repulsive(tau)
-    if beta * beta <= _SERIES_MAX_B2:
-        return ("series", omega_series(tau, 1e-14).value), ("integral", omega_integral(tau))
-    from .oracle import potential_quad
-    value = omega_integral(tau)
-    x = beta + (1.0 - beta) * _FLATNESS_POINTS
-    flat = potential_quad(tau, x) + external_field(tau, x)
-    return ("integral", value), ("flatness", float(flat[np.argmax(np.abs(flat - value))]))
+    """The two-cut omega by the theta formula, and by `omega_integral`
+    checking it, each as (name, value)."""
+    from .series import omega_integral
+    return ("theta", _omega_theta(tau)), ("integral", omega_integral(tau))
 
 
 def omega(tau: float) -> float:
     """Equilibrium constant: the level of potential + external field on the support.
 
     Closed forms in the attractive and intermediate regimes.  In the
-    repulsive regime one route answers and an independent one checks it:
-    up to beta^2 = 0.9 (tau ~ 9.55) the coefficient series against the
-    double-integral route, above it the integral route against the flatness
-    of the quadrature potential on [beta, 1].  The two must agree to 1e-8
-    (1e-12 relative once |omega| > 1e4) or a ConsistencyError is raised.
-    Valid for every finite tau up to ~3.5e10; above, beta comes within
-    2e-12 of 1 and DomainError is raised.
+    repulsive regime one integral on the rule of `theta_rule` answers at
+    every tau: the level for the density at the double beta, which misses
+    the exact omega by (m - 1) log(2/k'), m the density's mass (8e-15
+    relative at tau = 1e3).  `omega_integral` checks it: the two must
+    agree to 1e-8 (1e-12 relative once |omega| > 1e4) or a
+    ConsistencyError is raised.  Valid for every finite tau up to ~3.5e10;
+    above, beta comes within 2e-12 of 1 and DomainError is raised.
     """
     regime = classify_regime(tau)
     if regime is Regime.INTERMEDIATE:
@@ -605,8 +604,8 @@ def omega(tau: float) -> float:
                 - tau * math.log(1.0 + _attractive_kc(tau)))
     (name, value), (check_name, check) = _omega_repulsive(tau)
     # Both routes sum terms of size ~tau: past |omega| = 1e4 (tau ~ 3.3e4)
-    # the gate is relative, 1e-12, about 7 times their largest measured
-    # relative spread (1.5e-13, up to tau = 3.4e10).
+    # the gate is relative, 1e-12, about 900 times their largest measured
+    # relative spread (1.1e-15 over 3000 log-uniform tau up to 3.4e10).
     if abs(value - check) > max(1e-8, 1e-12 * abs(value)):
         raise ConsistencyError(
             f"omega routes disagree at tau={tau!r}: {name} {value!r} "

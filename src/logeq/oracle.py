@@ -602,9 +602,9 @@ def verify(tau: float) -> VerificationReport:
     forms it checks (quadrature of the density, boundary-value
     extrapolation, the spread between omega's two routes).  In the
     repulsive regime that spread is the one omega gated, read from its
-    cache: series against integral up to beta^2 = 0.9 (tau ~ 9.55), integral
-    against flatness above.  Components that raise are recorded as
-    infinities; this function does not throw.
+    cache: the theta formula against `omega_integral`, at every tau.
+    Components that raise are recorded as infinities; this function does
+    not throw.
     """
     regime = classify_regime(tau)
     sup = support(tau)

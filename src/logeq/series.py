@@ -1,10 +1,12 @@
 """Series and integral routes to the two-cut equilibrium constant.
 
-The equilibrium constant in the repulsive regime has no closed form.  Two
-independent evaluations are provided: a convergent power series in beta^2
-whose coefficients c_k are moments of sqrt((1 - beta^2 s^2)/(1 - s^2)), and
-a direct double-integral route.  Their agreement is the main correctness
-check for this regime.
+The equilibrium constant in the repulsive regime has no closed form.
+`omega` answers by a single integral on the theta rule (in `equilibrium`)
+and checks it against the direct double-integral route here,
+`omega_integral`, at every tau.  The convergent power series in beta^2,
+whose coefficients c_k are moments of sqrt((1 - beta^2 s^2)/(1 - s^2)), is
+a third, independent route: `logeq omega --method series` and the tests
+read it, `omega` does not.
 
 Coefficients come from Miller's backward run of their three-term
 recurrence, normalised by the closed forms of c_0 and c_1; direct

@@ -113,15 +113,21 @@ def test_omega_methods():
     wi = parse_json(out_i)["omega"]
     assert abs(ws - wi) <= 1e-8
     assert abs(ws - omega(2.0)) <= 1e-8
+    rc, out_a, _ = run_cli("omega", "--tau", "2")
+    assert rc == 0
+    # within two ulps of the frozen 30-digit value 2.07280477580112332...
+    assert abs(parse_json(out_a)["omega"] - 2.0728047758011233) <= 1e-15
 
 
 def test_omega_methods_above_the_series_band():
-    # beta^2 > 0.9: auto answers with the integral route
+    # beta^2 > 0.9: auto answers with the theta formula, as below the band,
+    # and the integral route agrees with it
     rc, out_a, _ = run_cli("omega", "--tau", "80")
     assert rc == 0
     rc, out_i, _ = run_cli("omega", "--tau", "80", "--method", "integral")
     assert rc == 0
-    assert parse_json(out_a)["omega"] == parse_json(out_i)["omega"]
+    assert parse_json(out_a)["omega"] == omega(80.0)
+    assert abs(parse_json(out_a)["omega"] - parse_json(out_i)["omega"]) <= 1e-13
     assert abs(parse_json(out_a)["omega"] - 28.263340124900358) <= 1e-12
 
 

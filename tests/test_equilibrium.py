@@ -758,11 +758,11 @@ def test_omega_and_report_just_above_the_repulsive_boundary():
     assert abs(rep.omega - (1.0 + tau) * math.log(2.0)) <= 1e-14
 
 
-def test_omega_answers_by_beta_band():
+def test_omega_answers_by_the_theta_formula_at_every_tau():
+    # one route pair on both sides of the old beta^2 = 0.9 band (tau ~ 9.55)
     from logeq.equilibrium import _omega_repulsive
-    assert [r[0] for r in _omega_repulsive(9.0)] == ["series", "integral"]
-    for tau in (12.0, 80.0):
-        assert [r[0] for r in _omega_repulsive(tau)] == ["integral", "flatness"]
+    for tau in (1.8, 9.0, 12.0, 80.0, 1e7):
+        assert [r[0] for r in _omega_repulsive(tau)] == ["theta", "integral"]
 
 
 def test_omega_above_the_beta_cap_raises_domain_error():

@@ -253,7 +253,7 @@ def test_verify_spread_repulsive():
 
 @pytest.mark.parametrize("tau", [5.0, 9.0])
 def test_verify_at_the_rounding_floor_in_the_series_band(tau):
-    # the series answers to 1e-14 and the quadrature potential is flat to ~1e-14
+    # omega's two routes agree to ~1e-14 and the quadrature potential is flat to ~1e-14
     rep = verify(tau)
     assert rep.flatness_error <= 1e-13
     assert rep.cross_route_omega_spread <= 1e-13
@@ -280,19 +280,26 @@ def test_verify_sp_error_on_the_narrowest_two_cut_pieces():
 
 
 def test_verify_reuses_the_omega_routes(monkeypatch):
-    # omega's cache holds both route values; verify reads its spread there
+    # omega's cache holds both route values; verify reads its spread there,
+    # and the series is not one of them
     import logeq.series as series_mod
     from logeq.equilibrium import _omega_repulsive
     _omega_repulsive.cache_clear()
-    calls = []
-    real = series_mod.omega_series
+    series_calls, integral_calls = [], []
+    real_series, real_integral = series_mod.omega_series, series_mod.omega_integral
     monkeypatch.setattr(series_mod, "omega_series",
-                        lambda tau, tol: calls.append(tau) or real(tau, tol))
-    tau = 2.0 + 1e-9 * math.pi  # a tau no other test caches
-    rep = verify(tau)
-    assert rep.passes
-    assert calls == [tau]
-    assert rep.cross_route_omega_spread == abs(omega(tau) - series_mod.omega_integral(tau))
+                        lambda tau, tol: series_calls.append(tau) or real_series(tau, tol))
+    monkeypatch.setattr(series_mod, "omega_integral",
+                        lambda tau: integral_calls.append(tau) or real_integral(tau))
+    for tau in (2.0 + 1e-9 * math.pi, 12.0 + 1e-9 * math.pi):  # taus no other test caches
+        integral_calls.clear()
+        rep = verify(tau)
+        assert rep.passes
+        assert series_calls == []
+        assert integral_calls == [tau]
+        (name, value), (check_name, check) = _omega_repulsive(tau)
+        assert (name, check_name) == ("theta", "integral")
+        assert rep.cross_route_omega_spread == abs(value - check) <= 1e-8
 
 
 def test_verify_spread_stays_finite_when_the_routes_disagree(monkeypatch):
@@ -312,31 +319,15 @@ def test_verify_spread_stays_finite_when_the_routes_disagree(monkeypatch):
         _omega_repulsive.cache_clear()  # drop the perturbed route values
 
 
-def test_verify_reuses_the_omega_routes_above_the_series_band(monkeypatch):
-    import logeq.series as series_mod
+def test_verify_spread_stays_finite_when_the_theta_formula_disagrees(monkeypatch):
+    import logeq.equilibrium as equilibrium_mod
     from logeq.equilibrium import _omega_repulsive
-    _omega_repulsive.cache_clear()
-    calls = []
-    real = series_mod.omega_integral
-    monkeypatch.setattr(series_mod, "omega_integral",
-                        lambda tau: calls.append(tau) or real(tau))
-    tau = 12.0 + 1e-9 * math.pi  # beta^2 ~ 0.935, a tau no other test caches
-    rep = verify(tau)
-    assert rep.passes
-    assert calls == [tau]
-    (_, value), (check_name, check) = _omega_repulsive(tau)
-    assert check_name == "flatness"
-    assert rep.cross_route_omega_spread == abs(value - check) <= 1e-8
-
-
-def test_verify_spread_stays_finite_when_flatness_disagrees(monkeypatch):
-    import logeq.oracle as oracle_mod
-    from logeq.equilibrium import _omega_repulsive
-    real = oracle_mod.potential_quad
-    monkeypatch.setattr(oracle_mod, "potential_quad", lambda tau, z: real(tau, z) + 1e-6)
+    real = equilibrium_mod._omega_theta
+    monkeypatch.setattr(equilibrium_mod, "_omega_theta", lambda tau: real(tau) + 1e-6)
     tau = 15.0 + 1e-9 * math.pi
     try:
-        with pytest.raises(ConsistencyError, match="omega routes disagree .* vs flatness"):
+        with pytest.raises(ConsistencyError,
+                           match="omega routes disagree at tau=.*: theta .* vs integral"):
             omega(tau)
         rep = verify(tau)
         assert not rep.passes
@@ -383,8 +374,10 @@ def test_two_cut_quadrature_builds_one_I_table_per_tau(monkeypatch):
     monkeypatch.setattr(equilibrium_mod, "integral_I", counted)
     density(2.0, 0.7)  # warm-up
     potential_quad(2.0, 0.7)
+    # another test may have built the table for this tau already
+    specfun_mod._I_cheb_coeffs.cache_clear()
     points.clear()
-    tau = 3.0 + 1e-7 * math.pi  # a beta no other test builds a table for
+    tau = 3.0 + 1e-7 * math.pi
     beta = support(tau).beta
     density(tau, np.linspace(beta, 1.0, 10_002)[1:-1])
     potential_quad(tau, np.linspace(-1.5, 1.5, 200) + 0.01j * (np.arange(200) % 3))

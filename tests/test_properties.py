@@ -6,8 +6,9 @@ tests draw tau across the three regimes and arrays of points off the cuts,
 and check that the array call is the elementwise scalar call, that the
 Cauchy transform is conjugate-symmetric and odd, that one bad entry makes
 the whole call raise DomainError, and that a scalar comes back as a Python
-float or complex.  Over tau they check that the measure has unit mass and
-that omega is continuous where its formula or route changes.
+float or complex.  Over tau they check that the measure has unit mass,
+that omega is continuous where its formula changes, and that its two
+two-cut routes agree from the critical tau to 3.4e10.
 """
 
 import math
@@ -172,8 +173,8 @@ def test_unit_mass(tau):
     assert abs(measure_quadrature(tau) - 1.0) <= 1e-10
 
 
-# beta^2 = 0.9, where omega's answering route changes from the series to
-# the integral
+# beta^2 = 0.9 (tau ~ 9.55), inside the two-cut range, where one formula
+# answers on both sides
 TAU_BAND = 1.0 / (complete_E(math.sqrt(0.9)) - 1.0)
 
 
@@ -183,6 +184,19 @@ def test_omega_is_continuous_where_its_route_changes(where, delta):
     left, right = omega(where - delta), omega(where + delta)
     # |d omega / d tau| < 0.7 around each point; the routes err by < 1e-12
     assert abs(right - left) <= 2.0 * delta + 3e-12
-    if where == TAU_BAND:
-        assert _omega_repulsive(where - delta)[0][0] == "series"
-        assert _omega_repulsive(where + delta)[0][0] == "integral"
+
+
+# log-uniform over the whole two-cut range up to the beta cap (~3.5e10)
+TWO_CUT_TAUS = (st.floats(math.log10(TAU_CRITICAL), math.log10(3.4e10))
+                .map(lambda e: 10.0 ** e).filter(lambda tau: tau > TAU_CRITICAL))
+
+
+@PROPERTY
+@given(tau=TWO_CUT_TAUS)
+def test_omega_routes_agree_over_the_two_cut_range(tau):
+    # 1.1e-15 is the largest spread measured over 3000 such tau; omega's
+    # own gate is 1e-12 relative
+    w = omega(tau)
+    (_, theta), (_, integral) = _omega_repulsive(tau)
+    assert w == theta
+    assert abs(theta - integral) <= 1e-14 * max(1.0, abs(w))

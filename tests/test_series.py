@@ -13,6 +13,7 @@ import pytest
 
 from logeq.errors import ConsistencyError, DomainError
 from logeq.equilibrium import TAU_CRITICAL, omega, solve_beta_repulsive
+from logeq.oracle import measure_quadrature
 from logeq.series import (
     CoeffTable,
     SeriesResult,
@@ -268,9 +269,16 @@ def test_truncation_tolerance_controls_tail():
 # with J0, J1 in closed form through K, E and Pi on [1, 2] and by their
 # moment series beyond; beta from mpmath.findroot on E = 1 + 1/tau.  At
 # tau <= 1e3 they agree with the coefficient series summed in 40-digit
-# fixed point to all 30 digits.
+# fixed point to all 30 digits.  Those at tau = 2, 1e7, 1e10 and 3e10 come
+# from two formulas at 60 digits on the 40-digit root k'^2 of
+# E(sqrt(1 - k'^2)) = 1 + 1/tau: the theta formula of `omega` by mpmath.quad
+# on panels graded toward phi = 0 by k', and omega_integral's double
+# integral with J0 = 2xK - 2(x^2 - 1)/x Pi(beta^2/x^2, beta) and
+# J1 = (x J0 - 2E)/beta at 2 log10(x) extra digits; the two agree to 59
+# digits.
 OMEGA_REFS = {
     TAU_CRITICAL + 1e-12: 1.90749833879612752118945367718,
+    2.0: 2.07280477580112332231274073891,
     3.0: 2.64768404464327821268867468153,
     9.0: 5.18345753615941118545288633641,
     12.0: 6.27985047271157676910516056802,
@@ -278,6 +286,9 @@ OMEGA_REFS = {
     80.0: 28.2633401249003579381410944621,
     1e3: 311.987391132627205568528540522,
     1e5: 30692.9124871651447063151462647,
+    1e7: 3068538.26365015329852271499883,
+    1e10: 3068528208.07447098231004286111,
+    3e10: 9205584597.44501928892447565711,
 }
 
 
@@ -290,8 +301,23 @@ def test_omega_integral_against_frozen_references(tau):
 @pytest.mark.parametrize("tau", sorted(OMEGA_REFS))
 def test_omega_against_frozen_references(tau):
     ref = OMEGA_REFS[tau]
-    # the series answers to its tail tolerance 1e-14, the integral to ~1e-14
-    assert abs(omega(tau) - ref) <= 1e-13 * ref
+    # omega is the level of the density at the double beta, whose mass
+    # misses 1 by beta's rounding; that sets its error: 1.1e-14 at 1e5,
+    # 6.1e-14 at 1e7 and 5.4e-14 at 3e10 (see the test below)
+    assert abs(omega(tau) - ref) <= (2e-14 if tau <= 1e5 else 1e-13) * ref
+
+
+@pytest.mark.parametrize("tau", sorted(OMEGA_REFS))
+def test_omega_less_its_mass_defect_against_frozen_references(tau):
+    # The density at the double beta has mass m = 1 + O(ulp(beta) tau K),
+    # and its level, which omega answers, sits (m - 1) log(2/k') above the
+    # exact omega.  With m read by the quadrature oracle, what is left is
+    # the error of the theta formula: within 4.3e-16 relative of each.
+    ref = OMEGA_REFS[tau]
+    beta = solve_beta_repulsive(tau)
+    log_2_over_kp = math.log(2.0 / math.sqrt((1.0 - beta) * (1.0 + beta)))
+    exact = omega(tau) - (measure_quadrature(tau) - 1.0) * log_2_over_kp
+    assert abs(exact - ref) <= 2e-15 * ref
 
 
 def test_series_tail_bound_meets_tol():
