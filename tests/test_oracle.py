@@ -279,7 +279,7 @@ def test_verify_sp_error_on_the_narrowest_two_cut_pieces():
     assert verify(1e7).sp_error <= 1e-4
 
 
-def test_verify_reuses_the_omega_routes(monkeypatch):
+def _assert_verify_reuses_the_omega_routes(monkeypatch, tau):
     # omega's cache holds both route values; verify reads its spread there,
     # and the series is not one of them
     import logeq.series as series_mod
@@ -291,15 +291,22 @@ def test_verify_reuses_the_omega_routes(monkeypatch):
                         lambda tau, tol: series_calls.append(tau) or real_series(tau, tol))
     monkeypatch.setattr(series_mod, "omega_integral",
                         lambda tau: integral_calls.append(tau) or real_integral(tau))
-    for tau in (2.0 + 1e-9 * math.pi, 12.0 + 1e-9 * math.pi):  # taus no other test caches
-        integral_calls.clear()
-        rep = verify(tau)
-        assert rep.passes
-        assert series_calls == []
-        assert integral_calls == [tau]
-        (name, value), (check_name, check) = _omega_repulsive(tau)
-        assert (name, check_name) == ("theta", "integral")
-        assert rep.cross_route_omega_spread == abs(value - check) <= 1e-8
+    rep = verify(tau)
+    assert rep.passes
+    assert series_calls == []
+    assert integral_calls == [tau]
+    (name, value), (check_name, check) = _omega_repulsive(tau)
+    assert (name, check_name) == ("theta", "integral")
+    assert rep.cross_route_omega_spread == abs(value - check) <= 1e-8
+
+
+def test_verify_reuses_the_omega_routes(monkeypatch):
+    _assert_verify_reuses_the_omega_routes(monkeypatch, 2.0 + 1e-9 * math.pi)  # a tau no other test caches
+
+
+def test_verify_reuses_the_omega_routes_above_the_series_band(monkeypatch):
+    # beta^2 ~ 0.935, above the band where omega once answered by its series
+    _assert_verify_reuses_the_omega_routes(monkeypatch, 12.0 + 1e-9 * math.pi)
 
 
 def test_verify_spread_stays_finite_when_the_routes_disagree(monkeypatch):
