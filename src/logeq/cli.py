@@ -130,6 +130,8 @@ def _cmd_potential(args, parser) -> int:
 
 
 def _cmd_omega(args, parser) -> int:
+    if args.tol is not None and args.method != "series":
+        parser.error("--tol applies only to --method series")
     regime = classify_regime(args.tau)
     if args.method in ("series", "integral") and regime is not Regime.REPULSIVE:
         raise DomainError(
@@ -139,7 +141,7 @@ def _cmd_omega(args, parser) -> int:
         raise DomainError(
             "the repulsive regime has no closed form; use series or integral")
     if args.method == "series":
-        value = omega_series(args.tau, args.tol).value
+        value = omega_series(args.tau, 1e-12 if args.tol is None else args.tol).value
     elif args.method == "integral":
         value = omega_integral(args.tau)
     else:
@@ -222,8 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="auto",
                    help="closed form (non-repulsive), series/integral "
                         "(repulsive), or auto (default)")
-    p.add_argument("--tol", type=_finite, default=1e-12,
-                   help="series tail tolerance (series method only)")
+    p.add_argument("--tol", type=_finite,
+                   help="series tail tolerance (series method only; default 1e-12)")
     p.set_defaults(func=_cmd_omega)
 
     p = sub.add_parser("verify", help="run the verification suite at one tau")

@@ -204,9 +204,9 @@ def measure_quadrature(tau: float, f=None) -> complex | float:
     """
     if f is None:
         f = lambda x: np.ones_like(x)
-    total, (off, w) = 0.0, _unit_row(0, 64)
-    for lo, hi in support(tau).pieces:
-        x_off, x_w = 0.5 * (hi - lo) * off, 0.5 * (hi - lo) * w
+    sup, (off, w) = support(tau), _unit_row(0, 64)
+    total, x_off, x_w = 0.0, sup.half_length * off, sup.half_length * w
+    for lo, hi in sup.pieces:
         for edge, s in ((lo, 1.0), (hi, -1.0)):
             total += np.sum(x_w * f(edge + s * x_off) * _density_offset(tau, edge, x_off))
     total = complex(total)
@@ -315,8 +315,8 @@ def _log_kernel_sums(tau: float, sup: Support, z: np.ndarray) -> np.ndarray:
     (off_unit, w_unit), s = _unit_row(_RUNGS), np.array([1.0, -1.0])[:, None, None]
     n, size = off_unit.size - 16 * _RUNGS, off_unit.size  # D_i starts at n + 16 (depth - i)
     total, pieces, spans, folded = np.zeros(z.shape), [], {}, {}
+    half = sup.half_length  # from kc: hi - lo rounds the two-cut width away
     for lo, hi in sup.pieces:
-        half = 0.5 * (hi - lo)
         inside = (lo < z.real) & (z.real < hi)
         cut = np.zeros((2, 2, z.size), int)  # nodes left out: (start, stop), edge, point
         on, upper = np.flatnonzero(inside), np.zeros(0, int)
@@ -566,8 +566,7 @@ def _sp_density(tau: float, x):
     fixed offsets reach past the range where the quadratic model holds
     once the pieces get narrow (two-cut tau above ~8.7, one-cut ~ -1e8).
     """
-    lo, hi = support(tau).pieces[0]
-    h = min(1.0, 0.5 * (hi - lo))
+    h = min(1.0, support(tau).half_length)
     vals = -cauchy(tau, x[:, None] + 1j * (np.array(_SP_EPS) * h)).imag / math.pi
     return sum(li * vals[:, i] for i, li in enumerate(_SP_WEIGHTS))
 
@@ -587,9 +586,8 @@ def _gap_grid(tau: float, sup: Support, n_total: int) -> np.ndarray:
     vanishes with a 3/2 power (the inset keeps it above quadrature noise)."""
     beta = sup.beta
     if sup.shape is SupportShape.ONE_CUT:
-        ins = 1e-3 * (1.0 - beta)
-        half = n_total // 2
-        right = np.linspace(beta + ins, 1.0, half)
+        ins = 1e-3 * sup.kc ** 2 / (1.0 + beta)  # 1e-3 (1 - beta)
+        right = np.linspace(beta + ins, 1.0, n_total // 2)
         return np.concatenate([-right[::-1], right])
     ins = 1e-3 * (2.0 * beta)
     return np.linspace(-beta + ins, beta - ins, n_total)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import gl_map, graded_rule
-from .equilibrium import Regime, classify_regime, solve_beta_repulsive
+from .equilibrium import Regime, classify_regime, support
 from .errors import ConsistencyError, DomainError
 from .specfun import complete_E, theta_rule
 
@@ -111,13 +111,13 @@ def check_initial_coeff(beta: float, k: int, value: float) -> float:
     return value
 
 
-def c_init(beta: float, tau: float) -> tuple[float, float]:
+def c_init(beta: float, kc: float, tau: float) -> tuple[float, float]:
     """Closed forms for c_0 and c_1, each gated against quadrature.
 
     Requires tau and beta to describe the same equilibrium, i.e.
-    E(beta) = 1 + 1/tau within 1e-9.  Note the logarithm coefficient in
-    c_1 is (1 - beta^2)/(4 beta): the 1/4 is forced by the beta -> 0 limit
-    c_1 -> 1.
+    E(beta) = 1 + 1/tau within 1e-9; kc = sqrt(1 - beta^2) is its
+    `Support.kc`.  Note the logarithm coefficient in c_1 is kc^2/(4 beta):
+    the 1/4 is forced by the beta -> 0 limit c_1 -> 1.
     """
     if not (0.0 < beta < 1.0):
         raise DomainError(f"beta={beta!r} outside (0, 1)")
@@ -127,13 +127,13 @@ def c_init(beta: float, tau: float) -> tuple[float, float]:
             f"E(beta)={complete_E(beta)!r} != 1 + 1/tau = {1.0 + 1.0 / tau!r}")
     c0 = complete_E(beta)
     # log((1+b)/(1-b)) = 2 atanh(b), |1/4 coefficient| -> 1/2 atanh prefactor.
-    c1 = 0.5 + (1.0 - beta * beta) / (2.0 * beta) * math.atanh(beta)
+    c1 = 0.5 + kc * kc / (2.0 * beta) * math.atanh(beta)
     for k, val in ((0, c0), (1, c1)):
         check_initial_coeff(beta, k, val)
     return c0, c1
 
 
-def c_recurrence(beta: float, tau: float, K: int) -> CoeffTable:
+def c_recurrence(beta: float, kc: float, tau: float, K: int) -> CoeffTable:
     """Coefficient table c_0..c_K by Miller's backward recurrence.
 
     c_k is the minimal solution of
@@ -146,7 +146,7 @@ def c_recurrence(beta: float, tau: float, K: int) -> CoeffTable:
     of three-term recurrence relations", SIAM Review 9, 1967).  It runs on
     the differences d_k = c_k - c_{k+2} > 0,
 
-        (k-1) d_{k-2} = (1 - beta^2) c_k + beta^2 (k+3) d_k,
+        (k-1) d_{k-2} = kc^2 c_k + beta^2 (k+3) d_k,   kc^2 = 1 - beta^2,
         c_{k-2} = c_k + d_{k-2},
 
     where every term is positive: nothing cancels as beta -> 1, where the
@@ -158,18 +158,17 @@ def c_recurrence(beta: float, tau: float, K: int) -> CoeffTable:
     """
     if K < 3:
         raise DomainError(f"K={K!r} must be at least 3")
-    c0, c1 = c_init(beta, tau)
+    c0, c1 = c_init(beta, kc, tau)
     n = K + 40 + math.ceil(math.log(1e-17) / math.log(beta))
     if n > _RECURRENCE_MAX_STEPS:
         raise DomainError(
             f"c_recurrence needs {n} steps at beta={beta!r}, K={K!r}, over its "
             f"budget of {_RECURRENCE_MAX_STEPS}; use c_quadrature")
-    b2 = beta * beta
-    omb2 = (1.0 - beta) * (1.0 + beta)
+    b2, kc2 = beta * beta, kc * kc
     c = [1.0] * (n + 1)
     d = [1.0] * (n + 1)
     for k in range(n, 1, -1):
-        d[k - 2] = (omb2 * c[k] + b2 * (k + 3) * d[k]) / (k - 1)
+        d[k - 2] = (kc2 * c[k] + b2 * (k + 3) * d[k]) / (k - 1)
         c[k - 2] = c[k] + d[k - 2]
     values = np.array(c[:K + 1])
     values[0::2] *= c0 / values[0]
@@ -177,10 +176,10 @@ def c_recurrence(beta: float, tau: float, K: int) -> CoeffTable:
     return CoeffTable(beta=beta, values=values, K=K)
 
 
-def _series_prefactor(beta: float, tau: float) -> float:
-    b2 = beta * beta
-    return 0.5 * (1.0 + tau) * (math.log(4.0 / (1.0 - b2))
-                                + beta * math.log((1.0 - beta) / (1.0 + beta)))
+def _series_prefactor(beta: float, kc: float, tau: float) -> float:
+    # (1 - beta)/(1 + beta) = kc^2/(1 + beta)^2
+    return 0.5 * (1.0 + tau) * (math.log(4.0 / (kc * kc))
+                                + 2.0 * beta * math.log(kc / (1.0 + beta)))
 
 
 def omega_series(tau: float, tol: float) -> SeriesResult:
@@ -201,10 +200,11 @@ def omega_series(tau: float, tol: float) -> SeriesResult:
         raise DomainError(f"omega_series requires tau > 2/(pi-2), got {tau!r}")
     if tol < 1e-14:
         raise DomainError(f"tol={tol!r} below the attainable floor 1e-14")
-    beta = solve_beta_repulsive(tau)
+    sup = support(tau)
+    beta, kc = sup.beta, sup.kc
     b2 = beta * beta
     # a term times this is the larger of the term and the tail bound after it
-    tail = max(1.0, b2 / (1.0 - b2))
+    tail = max(1.0, b2 / (kc * kc))
     # Geometric bound on the index where that drops below tol for
     # tau c_{2k-1} c_{2k} beta^{2k} (coefficients are bounded by c_1 c_2 < 2.5).
     k_max = max(3, math.ceil(math.log(tol / (2.5 * tau * tail)) / (2.0 * math.log(beta))) + 8)
@@ -212,8 +212,8 @@ def omega_series(tau: float, tol: float) -> SeriesResult:
         raise DomainError(
             f"omega_series needs ~{k_max} terms at tau={tau!r} (beta^2={b2!r}), "
             f"over its budget of {_SERIES_MAX_TERMS}; use omega_integral")
-    c = c_recurrence(beta, tau, 2 * k_max).values
-    total = _series_prefactor(beta, tau)
+    c = c_recurrence(beta, kc, tau, 2 * k_max).values
+    total = _series_prefactor(beta, kc, tau)
     pw = 1.0
     for k in range(1, k_max + 1):
         pw *= b2
@@ -241,31 +241,32 @@ def omega_integral(tau: float) -> float:
     Under s = sin(theta) the inner integrals lose their endpoint
     singularity, and each half of [-pi/2, pi/2] is taken in the distance
     phi to its end, so that 1 - beta^2 s^2 and x - beta s are sums of
-    nonnegative terms built from 1 - beta, x - 1 and phi: nothing cancels
-    as x -> 1 and beta -> 1.  The outer integrals are split at x = 2: on
-    [1, 2] the substitution x = 1 + u^2 absorbs the 1/sqrt(x^2-1) edge, and
-    on [2, inf) the map t = 1/x compactifies the tail.  The integrands
+    nonnegative terms built from 1 - beta = kc^2/(1 + beta) (`Support.kc`),
+    x - 1 and phi: nothing cancels as x -> 1 and beta -> 1.  The outer
+    integrals are split at x = 2: on [1, 2] the substitution x = 1 + u^2
+    absorbs the 1/sqrt(x^2-1) edge, and on [2, inf) the map t = 1/x
+    compactifies the tail.  The integrands
     keep layers of width sqrt(1 - beta) at u = 0 and phi = 0, where both
-    rules put geometric panels.  Relative error ~1e-14 for tau from
-    TAU_CRITICAL to 1e5 (beta up to 1 - 1.4e-6); beta is solvable up to
-    tau ~ 3.5e10.
+    rules put geometric panels.  Within 1.5e-15 relative of `omega`'s
+    theta formula from TAU_CRITICAL to 1e14 (beta up to 1 - 5.5e-16).
     """
     if classify_regime(tau) is not Regime.REPULSIVE:
         raise DomainError(f"omega_integral requires tau > 2/(pi-2), got {tau!r}")
-    beta = solve_beta_repulsive(tau)
-    omb = 1.0 - beta
+    sup = support(tau)
+    beta, kc = sup.beta, sup.kc
+    delta = 2.0 * sup.half_length  # 1 - beta, from kc
     # Inner rule: phi in [0, pi/2] for each half, theta = +-(pi/2 - phi).
-    phi, w_phi, root = theta_rule(beta)
+    phi, w_phi, root = theta_rule(beta, kc)
     cos_phi = np.cos(phi)
     sin_s = np.concatenate((cos_phi, -cos_phi))
     # 1 - sin(theta) on the upper half and the lower half
     one_minus_s = np.concatenate((2.0 * np.sin(0.5 * phi) ** 2, 1.0 + cos_phi))
     w_root = np.tile(w_phi * root, 2)
-    gap = omb + beta * one_minus_s  # x - beta sin(theta) at x = 1
+    gap = delta + beta * one_minus_s  # x - beta sin(theta) at x = 1
 
     # Outer nodes: x = 1 + u^2 on [1, 2], x = 1/t on [2, inf); the u panels
     # halve until the innermost is below the layer width sqrt(1 - beta).
-    u, w_u = graded_rule(1.0, math.ceil(-0.5 * math.log2(omb)), 16)
+    u, w_u = graded_rule(1.0, math.ceil(-0.5 * math.log2(delta)), 16)
     t, w_t = gl_map(0.0, 0.5, 64)
     x_minus_1 = np.concatenate((u * u, 1.0 / t - 1.0))
     # Row sums, not a matrix product: BLAS would add its buffers to the RSS.
@@ -276,11 +277,11 @@ def omega_integral(tau: float) -> float:
     x_a = 1.0 + u * u
     sq = np.sqrt(2.0 + u * u)
     # sqrt(x^2 - 1) = u sqrt(2 + u^2), sqrt(x^2 - beta^2) from x - beta = u^2 + 1 - beta
-    w1a = np.sum(w_u * 2.0 * j0a / (sq * (u * sq + np.sqrt((u * u + omb) * (x_a + beta)))))
+    w1a = np.sum(w_u * 2.0 * j0a / (sq * (u * sq + np.sqrt((u * u + delta) * (x_a + beta)))))
     s1 = np.sqrt(1.0 - t * t)
     s2 = np.sqrt(1.0 - (beta * t) ** 2)
     w1b = np.sum(w_t * j0b / (s1 * (s1 + s2)))
-    w1 = 0.5 * tau * omb * (1.0 + beta) * (w1a + w1b)
+    w1 = 0.5 * tau * kc * kc * (w1a + w1b)
     # J1(x)/x dx is 2u J1(1 + u^2)/(1 + u^2) du, and J1(1/t)/t dt on the tail.
     w2a = np.sum(w_u * 2.0 * u * j1a / x_a)
     w2b = np.sum(w_t * j1b / t)

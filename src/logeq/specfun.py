@@ -20,9 +20,6 @@ import numpy as np
 from ._quad import graded_rule
 from .errors import DomainError
 
-# Moduli this close to 1 make K blow up past any sensible use; reject them.
-_K_MODULUS_CAP = 1.0 - 1e-12
-
 # AGM converges quadratically; 64 iterations is far beyond what doubles need.
 _AGM_MAX_ITER = 64
 
@@ -30,18 +27,12 @@ _AGM_MAX_ITER = 64
 def complete_K(k: float) -> float:
     """Complete elliptic integral of the first kind.
 
-    Parameters
-    ----------
-    k : float
-        Modulus, 0 <= k < 1 - 1e-12.
-
-    Returns
-    -------
-    float
-        K(k) = ∫_0^{π/2} (1 - k² sin²θ)^{-1/2} dθ, computed as
-        π / (2 agm(1, √(1-k²))).
+    K(k) = ∫_0^{π/2} (1 - k² sin²θ)^{-1/2} dθ, computed as
+    π / (2 agm(1, √(1-k²))) for the modulus 0 <= k < 1 - 1e-12: closer to
+    1, the rounding of 1 - k² sets K's error.  Two-cut code reads
+    `integral_I(0, k, kc)`, from the complementary modulus, instead.
     """
-    if not (0.0 <= k < _K_MODULUS_CAP):
+    if not (0.0 <= k < 1.0 - 1e-12):
         raise DomainError(f"complete_K requires 0 <= k < 1 - 1e-12, got {k!r}")
     a, b = 1.0, math.sqrt(1.0 - k * k)
     for _ in range(_AGM_MAX_ITER):
@@ -88,19 +79,19 @@ def complete_E(k: float) -> float:
 # The two-parameter kernel integral
 # ---------------------------------------------------------------------------
 
-def theta_rule(k: float):
+def theta_rule(k: float, kc: float):
     """Nodes for the θ-integrals of √(1 - k² sin²θ) over [0, π/2], in
-    φ = π/2 - θ, as (phi, w, root) with root = √(1 - k² cos²φ).
+    φ = π/2 - θ, as (phi, w, root) with root = √(1 - k² cos²φ), given the
+    complementary modulus kc = √(1 - k²), which 1 - k rounds away as k -> 1.
 
     16-node panels halve toward φ = 0 until the innermost is below the
-    width √(1 - k) of the layer there: 32 nodes at k = 0, 352 at the
-    modulus cap.  The root is formed as √((1 - k)(1 + k) + (k sin φ)²),
-    which does not cancel as k -> 1.
+    width √(1 - k) = kc/√(1 + k) of the layer there: 32 nodes at k = 0,
+    480 where the two-cut beta is the last double below 1.  The root is
+    formed as √(kc² + (k sin φ)²), which does not cancel as k -> 1.
     """
-    omk = 1.0 - k
-    n_panels = math.ceil(-0.5 * math.log2(omk) + math.log2(0.5 * math.pi))
+    n_panels = math.ceil(math.log2(0.5 * math.pi / kc) + 0.5 * math.log2(1.0 + k))
     phi, w = graded_rule(0.5 * math.pi, n_panels, 16)
-    return phi, w, np.sqrt(omk * (1.0 + k) + (k * np.sin(phi)) ** 2)
+    return phi, w, np.sqrt(kc * kc + (k * np.sin(phi)) ** 2)
 
 
 # Points x theta nodes per block of integral_I: one scratch block of ~256 KiB,
@@ -108,16 +99,16 @@ def theta_rule(k: float):
 _I_BLOCK = 1 << 15
 
 
-def integral_I(a, k: float):
-    """I(a, k) = ∫_0^{π/2} dθ / (a + √(1 - k² sin²θ)).
+def integral_I(a, k: float, kc: float):
+    """I(a, k) = ∫_0^{π/2} dθ / (a + √(1 - k² sin²θ)), kc = √(1 - k²).
 
     Reduces to K(k) at a = 0 and to π / (2(1 + a)) at k = 0.  `a` may be a
     real or complex scalar or ndarray with Re a >= 0, which keeps the
-    denominator √(1-k²) or more from 0 (k is always scalar); the return
-    matches `a` in shape and in being real or complex.  The nodes are
-    those of `theta_rule(k)` at every k, graded toward θ = π/2, where the
-    square root develops a boundary layer as k -> 1: within ~3e-16
-    relative of 30-digit references up to k = β(1e9) ≈ 1 - 8e-11.
+    denominator kc or more from 0 (k and kc are scalars); the return
+    matches `a` in shape and in being real or complex.  The nodes are those
+    of `theta_rule(k, kc)`, graded toward θ = π/2, where the square root
+    develops a boundary layer as k -> 1: within ~3e-16 relative of 30-digit
+    references up to k = β(1e9) ≈ 1 - 8e-11.
 
     This is the direct quadrature.  The two-cut density, whose a lie in
     [0, √(1-k²)], reads `integral_I_cheb` instead, which is built from 24
@@ -128,9 +119,9 @@ def integral_I(a, k: float):
     a_arr = a_arr.astype(np.result_type(a_arr, float), copy=False)
     if np.any(a_arr.real < 0.0):
         raise DomainError("integral_I requires Re a >= 0")
-    if not (0.0 <= k < _K_MODULUS_CAP):
-        raise DomainError(f"integral_I requires 0 <= k < 1 - 1e-12, got k={k!r}")
-    _, w, root = theta_rule(k)
+    if not (0.0 <= k < 1.0 and 0.0 < kc <= 1.0):
+        raise DomainError(f"integral_I requires 0 <= k < 1 and 0 < kc <= 1, got {k!r}, {kc!r}")
+    _, w, root = theta_rule(k, kc)
     flat = a_arr.ravel()
     vals = np.empty(flat.shape, a_arr.dtype)
     step = max(1, _I_BLOCK // len(w))
@@ -152,14 +143,13 @@ _I_CHEB_TERMS = 24
 
 
 @lru_cache(maxsize=1024)
-def _I_cheb_coeffs(k: float):
-    """Chebyshev coefficients of a -> I(a, k) on [0, k'], k' = √(1-k²),
-    from its values at the Chebyshev points (read-only, cached per k).
+def _I_cheb_coeffs(k: float, kc: float):
+    """Chebyshev coefficients of a -> I(a, k) on [0, kc], kc = √(1-k²),
+    from its values at the Chebyshev points (read-only, cached per k, kc).
     The first coefficient is stored halved, as Clenshaw's sum wants it."""
-    kp = math.sqrt((1.0 - k) * (1.0 + k))
     n = _I_CHEB_TERMS
     odd = 2 * np.arange(n) + 1
-    vals = integral_I(0.5 * kp * (1.0 + np.cos(odd * (0.5 * math.pi / n))), k)
+    vals = integral_I(0.5 * kc * (1.0 + np.cos(odd * (0.5 * math.pi / n))), k, kc)
     # cos(j theta_i) with j theta_i reduced mod 2 pi in integers first: a
     # rounded theta_i times j would cost up to j ulps in the coefficients.
     # The rows j >= 1 of the rounded table still sum to ~-2e-16 each, not 0,
@@ -172,7 +162,7 @@ def _I_cheb_coeffs(k: float):
     c = (2.0 / n) * np.sum(np.cos(phase * (0.5 * math.pi / n)) * (vals - mean), axis=-1)
     c[0] = 0.5 * c[0] + mean
     c.flags.writeable = False
-    return c, kp
+    return c
 
 
 def _cache_line_rows(rows: int, n: int) -> np.ndarray:
@@ -188,24 +178,24 @@ def _cache_line_rows(rows: int, n: int) -> np.ndarray:
     return buf[start:start + rows * stride].reshape(rows, stride)[:, :n]
 
 
-def integral_I_cheb(a, k: float):
-    """I(a, k) for 0 <= a <= √(1-k²), from a cached Chebyshev interpolant.
+def integral_I_cheb(a, k: float, kc: float):
+    """I(a, k) for 0 <= a <= kc = √(1-k²), from a cached Chebyshev interpolant.
 
     For fixed k, a -> I(a, k) is a Stieltjes function whose singularities
-    lie on [-1, -k'], k' = √(1-k²).  Mapped from [0, k'] to [-1, 1] the
-    nearest one sits at -3 whatever k is, so the interpolant converges like
-    (3 + √8)^-n uniformly in k: with 24 terms it matches `integral_I` to
-    ~1e-15 relative, for k up to the modulus cap.  The coefficients come from 24
+    lie on [-1, -kc].  Mapped from [0, kc] to [-1, 1] the nearest one sits
+    at -3 whatever k is, so the interpolant converges like (3 + √8)^-n
+    uniformly in k: with 24 terms it matches `integral_I` to ~1e-15
+    relative at every two-cut k.  The coefficients come from 24
     `integral_I` values per k (cached for the 1024 most recent k); each call
     after that is a Clenshaw recurrence over the points, done in place in
     cache-line-aligned scratch rows.
     `a` is a float or an ndarray (the return matches), and is not checked
     against the range: the caller owns that.
     """
-    c, kp = _I_cheb_coeffs(k)
+    c = _I_cheb_coeffs(k, kc)
     a_arr = np.asarray(a, dtype=float)
     t, two_t, b0, b1, b2 = _cache_line_rows(5, a_arr.size)
-    np.multiply(a_arr.reshape(-1), 2.0 / kp, out=t)
+    np.multiply(a_arr.reshape(-1), 2.0 / kc, out=t)
     t -= 1.0
     np.multiply(t, 2.0, out=two_t)
     # b_j = c_j + 2t b_{j+1} - b_{j+2}, rotating three buffers

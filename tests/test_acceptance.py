@@ -51,7 +51,7 @@ def _verify_cached(tau: float):
 def test_criterion_1_endpoint_reproduction():
     solve_beta_repulsive.cache_clear()
     t0 = time.perf_counter()
-    b2 = solve_beta_repulsive(2.0)
+    b2 = solve_beta_repulsive(2.0)[0]
     dt = time.perf_counter() - t0
     b_att = support(-2.0).beta
     err2 = abs(b2 - 0.417299)
@@ -132,14 +132,14 @@ def test_criterion_8_pv_identity():
         for x in np.linspace(-beta, beta, 22)[1:-1]:
             x = float(x)
             lhs = pv_integral("full", beta, x)
-            rhs = 2.0 * x * integral_I(math.sqrt(1.0 - x * x), beta)
+            rhs = 2.0 * x * integral_I(math.sqrt(1.0 - x * x), beta, math.sqrt(1.0 - beta * beta))
             worst = max(worst, abs(lhs - rhs))
     ok = worst <= 1e-9
     _report(8, ok, f"max |PV - 2x I| = {worst:.2e} over 3 betas x 20 points")
 
 
 def test_criterion_9_coefficient_consistency():
-    table = c_recurrence(BETA2, 2.0, 60).values
+    table = c_recurrence(BETA2, math.sqrt(1.0 - BETA2 * BETA2), 2.0, 60).values
     worst = max(abs(table[k] - c_quadrature(BETA2, k)) / table[k] for k in range(61))
     for k, ref in CK_FROZEN.items():
         worst = max(worst, abs(table[k] - ref) / ref, abs(c_quadrature(BETA2, k) - ref) / ref)
@@ -185,7 +185,7 @@ def test_criterion_11_figures():
     rows3 = np.array([[float(f) for f in l.split(",")]
                       for l in out3.decode().splitlines()[1:]])
     b_att = math.sqrt(3.0) / 2.0
-    beta = solve_beta_repulsive(2.0)
+    beta = solve_beta_repulsive(2.0)[0]
     x3 = rows3[:, 0]
     right = rows3[x3 > 0][:, 1]
     caption_ok = (bool(np.all(np.abs(rows2[:, 0]) <= b_att))

@@ -71,7 +71,7 @@ def test_beta_json():
     assert rc == 0
     payload = parse_json(out)
     assert payload["regime"] == "repulsive"
-    assert math.isclose(payload["beta"], solve_beta_repulsive(2.0),
+    assert math.isclose(payload["beta"], solve_beta_repulsive(2.0)[0],
                         rel_tol=0.0, abs_tol=1e-15)
 
 
@@ -160,7 +160,9 @@ def test_exit_code_2_usage_errors():
                  ["cauchy", "--tau", "0"],         # no evaluation point
                  ["figure", "--name", "extfield", "--n", "-1"],
                  ["figure", "--name", "fig3", "--n", "0"],
-                 ["figure", "--name", "fig2", "--n", "1"]):
+                 ["figure", "--name", "fig2", "--n", "1"],
+                 ["omega", "--tau", "2", "--tol", "1e-3"],  # --tol is for the series
+                 ["omega", "--tau", "2", "--method", "integral", "--tol", "1e-3"]):
         rc, _, err = run_cli(*argv)
         assert rc == 2, argv
         # argparse explains itself on stderr, with the usage of the
@@ -218,7 +220,7 @@ def test_density_two_cut_split():
     x = rows[:, 0]
     assert len(x) == 9
     assert np.all(np.diff(x) > 0.0)
-    beta = solve_beta_repulsive(2.0)
+    beta = solve_beta_repulsive(2.0)[0]
     assert np.sum(x < 0) == 4 and np.sum(x > 0) == 5
     assert np.all((np.abs(x) > beta) & (np.abs(x) < 1.0))
 
@@ -324,7 +326,7 @@ def test_figure_fig3_trends():
     assert rc == 0
     _, rows = parse_csv(out)
     x, v = rows[:, 0], rows[:, 1]
-    beta = solve_beta_repulsive(2.0)
+    beta = solve_beta_repulsive(2.0)[0]
     assert np.all((np.abs(x) > beta) & (np.abs(x) < 1.0))
     right = v[x > 0]
     assert right[0] < 5e-2        # vanishes at the soft inner edge

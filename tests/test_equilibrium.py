@@ -26,6 +26,18 @@ BETA2_REF = 0.41729943021563737
 BETA5_REF = 0.8759855628093005
 
 
+def _at_the_endpoint(monkeypatch, beta):
+    """Pin the two-cut support to the double endpoint beta a reference table
+    was frozen at, with kc = sqrt(1 - beta^2), so that the table keeps
+    testing the formulas at that endpoint.  The tables marked "frozen at the
+    double beta of the E(beta) root" were; the k'^2 root moves beta by up
+    to a few ulps, and the tables "at the k'^2 root" below test the
+    solved endpoint itself."""
+    import logeq.equilibrium as equilibrium_mod
+    sup = Support(SupportShape.TWO_CUT, beta, math.sqrt((1.0 - beta) * (1.0 + beta)))
+    monkeypatch.setattr(equilibrium_mod, "support", lambda tau: sup)
+
+
 # ---------------------------------------------------------------------------
 # regimes and support
 # ---------------------------------------------------------------------------
@@ -55,9 +67,35 @@ def test_support_shapes():
 
 def test_support_validation():
     with pytest.raises(DomainError):
-        Support(shape=SupportShape.ONE_CUT, beta=1.5)
+        Support(shape=SupportShape.ONE_CUT, beta=1.5, kc=0.0)
     with pytest.raises(DomainError):
-        Support(shape=SupportShape.TWO_CUT, beta=0.0)
+        Support(shape=SupportShape.TWO_CUT, beta=0.0, kc=1.0)
+    # kc is the complementary modulus of beta, 0 on the full interval only
+    for beta, kc in ((0.6, 0.7), (0.6, -0.8), (0.6, 1.5), (1.0, 0.0)):
+        with pytest.raises(DomainError):
+            Support(shape=SupportShape.ONE_CUT, beta=beta, kc=kc)
+    with pytest.raises(DomainError):
+        Support(shape=SupportShape.FULL_INTERVAL, beta=1.0, kc=1e-9)
+    sup = Support(shape=SupportShape.TWO_CUT, beta=0.6, kc=0.8)
+    assert sup.half_length == pytest.approx(0.2, rel=1e-15)
+
+
+@pytest.mark.parametrize("tau", [-1e300, -1e8, -2.0, -1.0 - 1e-12, -1.0, 0.5, TAU_CRITICAL,
+                                 TAU_CRITICAL + 1e-12, 2.0, 30.0, 1e7, 1e14])
+def test_beta_and_kc_are_complementary(tau):
+    sup = support(tau)
+    assert abs(sup.beta ** 2 + sup.kc ** 2 - 1.0) <= 4 * 2.0 ** -52
+
+
+def test_support_half_length_is_formed_from_kc():
+    # at tau = 1e10 the doubles beta and 1 miss the piece width 1 - beta
+    # = kc^2/(1 + beta) by ~1e-5 relative; half_length carries it
+    assert support(-2.0).half_length == support(-2.0).beta
+    assert support(0.5).half_length == 1.0
+    sup = support(1e10)
+    lo, hi = sup.pieces[1]
+    assert sup.half_length == 0.5 * sup.kc ** 2 / (1.0 + sup.beta)
+    assert abs(2.0 * sup.half_length / (hi - lo) - 1.0) > 1e-7
 
 
 def test_attractive_beta_closed_form():
@@ -96,15 +134,43 @@ def test_attractive_mass_at_large_negative_tau(tau):
 
 
 def test_repulsive_beta_reference():
-    assert abs(solve_beta_repulsive(2.0) - BETA2_REF) <= 1e-13
-    assert abs(solve_beta_repulsive(5.0) - BETA5_REF) <= 1e-13
+    assert abs(solve_beta_repulsive(2.0)[0] - BETA2_REF) <= 1e-13
+    assert abs(solve_beta_repulsive(5.0)[0] - BETA5_REF) <= 1e-13
 
 
 @pytest.mark.parametrize("tau", [TAU_CRITICAL + 1e-8, 1.76, 2.0, 3.0, 5.0, 10.0,
                                  50.0, 1e3, 1e5])
 def test_repulsive_beta_defining_equation(tau):
-    b = solve_beta_repulsive(tau)
+    b = solve_beta_repulsive(tau)[0]
     assert abs(complete_E(b) - 1.0 - 1.0 / tau) <= 1e-14
+
+
+# oracle: mpmath.findroot (dps 50) on ellipe(1 - m) = 1 + 1/tau in m = k'^2,
+# at the double tau, and beta = sqrt(1 - m): (m, beta), 25 digits each
+KC2_BETA_REFS = {
+    2.0: (0.8258611855417043763262914, 0.417299430215637394504959),
+    2.5: (0.6012865285707427986765687, 0.631437622754027225792126),
+    3.0: (0.4660201683094879201634883, 0.7307392364520411325170519),
+    9.0: (0.1078198102296607417598027, 0.9445529046963644048863534),
+    30.0: (0.02407182620372141901571258, 0.9878907701746578120948443),
+    1e3: (0.0004187547341601163208780358, 0.9997906007088883828156612),
+    1e5: (0.000002743709631635890273650508, 0.999998628144243187946114),
+    1e7: (2.05407963108943125201804e-8, 0.9999999897296017918123041),
+    1e10: (1.498313385353436610055205e-11, 0.9999999999925084330732048),
+    1e12: (1.271204065292134796367482e-13, 0.9999999999999364397967354),
+    1e14: (1.104610090941965974765427e-15, 0.9999999999999994476949545),
+}
+
+
+@pytest.mark.parametrize("tau", sorted(KC2_BETA_REFS))
+def test_kc2_root_against_frozen_references(tau):
+    # the root is taken in k'^2, which holds what beta rounds away as tau
+    # grows; beta is the nearest double from tau = 3 up, and sits at the
+    # floor that the rounding of 1 + 1/tau sets below
+    m_ref, beta_ref = KC2_BETA_REFS[tau]
+    beta, kc = solve_beta_repulsive(tau)
+    assert abs(kc * kc - m_ref) <= 4e-16 * m_ref
+    assert abs(beta - beta_ref) <= (3.0 if tau < 3.0 else 1.0) * math.ulp(beta)
 
 
 # oracle: mpmath bisection on mp.ellipe(beta^2) = 1 + 1/tau, dps=30.  Below
@@ -122,19 +188,22 @@ BETA_REFS = [
 
 @pytest.mark.parametrize("tau,ref", BETA_REFS)
 def test_repulsive_beta_mpmath_reference(tau, ref):
-    assert abs(solve_beta_repulsive(tau) - ref) <= 1e-14 * ref
+    assert abs(solve_beta_repulsive(tau)[0] - ref) <= 1e-14 * ref
 
 
 def test_repulsive_beta_increases_with_tau():
     taus = np.concatenate([TAU_CRITICAL + np.geomspace(1e-10, 1e-2, 9),
                            np.geomspace(1.8, 1e5, 60)])
-    betas = [solve_beta_repulsive(float(t)) for t in taus]
+    betas = [solve_beta_repulsive(float(t))[0] for t in taus]
     assert np.all(np.diff(betas) > 0.0)
 
 
 def test_solve_beta_rejects_beta_at_the_modulus_cap():
-    with pytest.raises(DomainError):
-        solve_beta_repulsive(1e12)
+    # past tau ~ 1.8e15 k'^2 < 2^-54 and beta rounds to 1, which leaves no
+    # double inside a piece; just below, beta is a double below 1
+    assert solve_beta_repulsive(1e15)[0] < 1.0
+    with pytest.raises(DomainError, match="within rounding of 1"):
+        solve_beta_repulsive(1e16)
 
 
 def test_solve_beta_rejects_other_regimes():
@@ -212,7 +281,7 @@ def test_density_rejects_exterior_points():
 
 # oracle: mpmath (dps 30) quadrature of I(a, beta) in
 # (tau/pi) |x| sqrt(x^2 - beta^2)/a I(a, beta), a = sqrt(1 - x^2), at the
-# double beta = solve_beta_repulsive(tau) and the double points
+# double beta of the E(beta) root (frozen at that endpoint) and the double points
 # x = beta + f (1 - beta), f = 1e-9 (soft edge), 1e-3, 1/2, 1 - 1e-3 and
 # 1 - 1e-9 (hard edge); checked against K + (a^2/x^2) Pi(beta^2/x^2, beta)
 # - a pi/(2 x sqrt(x^2 - beta^2)) at 60 digits.  Near the soft edge the
@@ -243,15 +312,54 @@ DENSITY_EDGE_REFS = [
 
 
 @pytest.mark.parametrize("tau,beta,x,ref", DENSITY_EDGE_REFS)
-def test_density_edges_against_mpmath(tau, beta, x, ref):
+def test_density_edges_against_mpmath(monkeypatch, tau, beta, x, ref):
     # x^2 - beta^2 and 1 - x^2 are formed as products of a difference and
     # a sum; as differences of squares they lost up to 1e-4 relative here
     from logeq.equilibrium import _density_offset
-    assert solve_beta_repulsive(tau) == beta
+    _at_the_endpoint(monkeypatch, beta)
     assert abs(density(tau, x) - ref) <= 1e-14 * ref
     assert abs(density(tau, -x) - ref) <= 1e-14 * ref
     edge, off = (1.0, 1.0 - x) if x > 0.5 * (1.0 + beta) else (beta, x - beta)
     assert abs(_density_offset(tau, edge, off) - ref) <= 1e-14 * ref
+
+
+# oracle: as DENSITY_EDGE_REFS, at the double beta and kc of the k'^2 root,
+# I(a) = ∫ dphi/(a + sqrt(kc^2 + beta^2 sin^2 phi)): (tau, beta, x, ref,
+# ref_offset).  ref_offset is the density at the offset from the nearer
+# edge of a piece of width 1 - beta = kc^2/(1 + beta), which the double
+# beta misses by up to half an ulp (4e-14 of the density at tau = 1e3).
+DENSITY_EDGE_K_REFS = [
+    (2.0, 0.4172994302156375, 0.41729943079833803, 5.4351344972890514e-6, 5.4351344972890515e-6),
+    (2.0, 0.4172994302156375, 0.41788213078542186, 0.0054470116987482758, 0.0054470116987482758),
+    (2.0, 0.4172994302156375, 0.7086497151078188, 0.34657092969394635, 0.34657092969394634),
+    (2.0, 0.4172994302156375, 0.9994172994302157, 26.912754442726921, 26.912754442726921),
+    (2.0, 0.4172994302156375, 0.9999999994172994, 27907.770374770338, 27907.770374770338),
+    (10.0, 0.9517291058103535, 0.9517291058586245, 0.00015731727048091466, 0.00015731727048091471),
+    (10.0, 0.9517291058103535, 0.9517773767045432, 0.15743067955655888, 0.15743067955655893),
+    (10.0, 0.9517291058103535, 0.9758645529051768, 5.6765666820954064, 5.67656668209541),
+    (10.0, 0.9517291058103535, 0.9999517291058103, 254.11898730629278, 254.11898730629272),
+    (10.0, 0.9517291058103535, 0.9999999999517291, 259143.94795669103, 259143.94795669097),
+    (100.0, 0.9971146047298584, 0.9971146047327437, 0.002984695300230748, 0.0029846953002307406),
+    (100.0, 0.9971146047298584, 0.9971174901251285, 2.9865442867674653, 2.9865442867674579),
+    (100.0, 0.9971146047298584, 0.9985573023649292, 101.22738032472054, 101.22738032472006),
+    (100.0, 0.9971146047298584, 0.9999971146047298, 3941.0312608029463, 3941.0312608029543),
+    (100.0, 0.9971146047298584, 0.9999999999971146, 3991997.0945983095, 3991997.0945983175),
+    (1000.0, 0.9997906007088884, 0.9997906007090978, 0.043035618202258925, 0.043035618202260896),
+    (1000.0, 0.9997906007088884, 0.9997908101081795, 43.061665448665165, 43.061665448667139),
+    (1000.0, 0.9997906007088884, 0.9998953003544442, 1429.2604437126384, 1429.2604437127661),
+    (1000.0, 0.9997906007088884, 0.9999997906007089, 52586.650002502982, 52586.650002500896),
+    (1000.0, 0.9997906007088884, 0.9999999999997906, 53104065.044019382, 53104065.044017277),
+]
+
+
+@pytest.mark.parametrize("tau,beta,x,ref,ref_offset", DENSITY_EDGE_K_REFS)
+def test_density_edges_at_the_kc2_root(tau, beta, x, ref, ref_offset):
+    from logeq.equilibrium import _density_offset
+    assert support(tau).beta == beta
+    assert abs(density(tau, x) - ref) <= 1e-14 * ref
+    assert abs(density(tau, -x) - ref) <= 1e-14 * ref
+    edge, off = (1.0, 1.0 - x) if x > 0.5 * (1.0 + beta) else (beta, x - beta)
+    assert abs(_density_offset(tau, edge, off) - ref_offset) <= 1e-14 * ref_offset
 
 
 def test_density_scalar_and_array_agree():
@@ -292,9 +400,9 @@ def test_edge_coefficient_repulsive_soft():
 
 
 # oracle: mpmath (dps 40) (tau/pi) (K - E)/(beta k') sqrt(2 beta),
-# k' = sqrt(1 - beta^2), at the double beta = solve_beta_repulsive(tau); at
-# tau = 1e5 one ulp of beta moves the constant by ~4e-11 relative, so the
-# references hold for this beta only
+# k' = sqrt(1 - beta^2), at the double beta of the E(beta) root (frozen at
+# that endpoint); at tau = 1e5 one ulp of beta moves the constant by
+# ~4e-11 relative, so the references hold for this beta only
 SOFT_EDGE_REFS = [
     (TAU_CRITICAL + 1e-3, 0.02879343980596624, 0.0030302409291194399),
     (2.0, 0.4172994302156365, 0.22515810193765068),
@@ -305,8 +413,26 @@ SOFT_EDGE_REFS = [
 
 
 @pytest.mark.parametrize("tau,beta,ref", SOFT_EDGE_REFS)
-def test_edge_coefficient_repulsive_soft_reference(tau, beta, ref):
-    assert solve_beta_repulsive(tau) == beta
+def test_edge_coefficient_repulsive_soft_reference(monkeypatch, tau, beta, ref):
+    _at_the_endpoint(monkeypatch, beta)
+    assert abs(edge_coefficient(tau, "soft") - ref) <= 1e-13 * ref
+
+
+# oracle: mpmath (dps 40) (tau/pi) beta sqrt(2 beta) I(kc, beta)/kc,
+# I(a) = ∫ dphi/(a + sqrt(kc^2 + beta^2 sin^2 phi)), at the double beta and
+# kc of the k'^2 root
+SOFT_EDGE_K_REFS = [
+    (1.7529383938841088, 0.028793439805975655, 0.0030302409291209278),
+    (2.0, 0.4172994302156375, 0.22515810193765168),
+    (10.0, 0.9517291058103535, 22.642976283013735),
+    (1000.0, 0.9997906007088884, 94048.54619151773),
+    (100000.0, 0.9999986281442432, 184513026.39399116),
+]
+
+
+@pytest.mark.parametrize("tau,beta,ref", SOFT_EDGE_K_REFS)
+def test_edge_coefficient_repulsive_soft_at_the_kc2_root(tau, beta, ref):
+    assert support(tau).beta == beta
     assert abs(edge_coefficient(tau, "soft") - ref) <= 1e-13 * ref
 
 
@@ -443,7 +569,8 @@ def test_cauchy_repulsive_gap_continuity():
 # oracle: mpmath.quad (dps 40) of (tau/2) ratio_root(z, beta) q(z)
 # - tau atanh(1/z), q(z) the gap-kernel integral in theta with breakpoints
 # halving toward theta = +-pi/2 (and toward asin(Re z/beta) for points
-# over the gap), at the double beta = solve_beta_repulsive(tau).  At real
+# over the gap), at the double beta of the E(beta) root (frozen at that
+# endpoint), with kc = sqrt(1 - beta^2).  At real
 # points of the gap q is the principal value, taken after subtracting the
 # value-matched Chebyshev kernel.  Points, with w = 1 - beta: beta + 0.3 w
 # + 1e-3 w i over a piece, 1 + 0.01 w and beta - 0.01 w next to the outer
@@ -494,18 +621,73 @@ CAUCHY_TWO_CUT_REFS = [
 
 
 @pytest.mark.parametrize("tau,beta,z,ref", CAUCHY_TWO_CUT_REFS)
-def test_cauchy_two_cut_against_mpmath(tau, beta, z, ref):
+def test_cauchy_two_cut_against_mpmath(monkeypatch, tau, beta, z, ref):
     # its terms cancel by a factor ~1 + tau, which sets the rounding floor;
     # the quadrature (of I, or of q past |z| = 2) adds nothing to it up to
     # tau = 1e7
-    assert solve_beta_repulsive(tau) == beta
+    _at_the_endpoint(monkeypatch, beta)
+    assert abs(cauchy(tau, z) - ref) <= 5e-15 * (1.0 + tau) * abs(ref)
+    assert abs(cauchy(tau, np.conj(z)) - np.conj(ref)) <= 5e-15 * (1.0 + tau) * abs(ref)
+
+
+# oracle: as CAUCHY_TWO_CUT_REFS, with the gap kernel
+# sqrt(kc^2 + beta^2 cos^2 theta) at the double beta and kc of the k'^2
+# root, and the same points, w = 1 - beta taken at that beta.
+CAUCHY_TWO_CUT_K_REFS = [
+    (30.0, 0.9878907701746579, (0.9915235391222605+1.2109229825342128e-05j), (-81.77105436635767-46.48804057116749j)),
+    (30.0, 0.9878907701746579, 1.0001210922982535, (832.2398207238523+0j)),
+    (30.0, 0.9878907701746579, 0.9877696778764045, (-69.65482741518201+0j)),
+    (30.0, 0.9878907701746579, 0.49394538508732894, (-0.6581678002033414+0j)),
+    (30.0, 0.9878907701746579, (0.3+0.001j), (-0.33168275760356175-0.0013256488425130277j)),
+    (30.0, 0.9878907701746579, (0.4+0.9j), (-0.003038197272749216-0.5486104497838129j)),
+    (30.0, 0.9878907701746579, (3+0.5j), (0.35816826540604046-0.07407730840057968j)),
+    (30.0, 0.9878907701746579, -2.5, (-0.4756938910402767+0j)),
+    (1000.0, 0.9997906007088884, (0.9998534204962218+2.093992911116338e-07j), (-4753.375811332831-2874.724929144379j)),
+    (1000.0, 0.9997906007088884, 1.000002093992911, (46034.285268630556+0j)),
+    (1000.0, 0.9997906007088884, 0.9997885067159773, (-4152.07903451908+0j)),
+    (1000.0, 0.9997906007088884, 0.4998953003544442, (-0.6665222136440617+0j)),
+    (1000.0, 0.9997906007088884, (0.3+0.001j), (-0.32970504985611204-0.001316431141378741j)),
+    (1000.0, 0.9997906007088884, (0.4+0.9j), (-0.0036908015798872264-0.5470979754265966j)),
+    (1000.0, 0.9997906007088884, (3+0.5j), (0.35836737070356234-0.07420577421503312j)),
+    (1000.0, 0.9997906007088884, -2.5, (-0.47618147760828017+0j)),
+    (10000.0, 0.999983455996334, (0.9999884191974338+1.6544003666019158e-08j), (-60205.41293843117-37054.42222679615j)),
+    (10000.0, 0.999983455996334, 1.0000001654400366, (575175.4579291408+0j)),
+    (10000.0, 0.999983455996334, 0.9999832905562973, (-52949.713533003785+0j)),
+    (10000.0, 0.999983455996334, 0.499991727998167, (-0.6666553333299923+0j)),
+    (10000.0, 0.999983455996334, (0.3+0.001j), (-0.3296719723418423-0.0013162772583406904j)),
+    (10000.0, 0.999983455996334, (0.4+0.9j), (-0.0037017263434826727-0.5470724734436034j)),
+    (10000.0, 0.999983455996334, (3+0.5j), (0.3583707473848316-0.07420795531600283j)),
+    (10000.0, 0.999983455996334, -2.5, (-0.47618975693302196+0j)),
+    (100000.0, 0.9999986281442432, (0.9999990397009703+1.3718557567710122e-09j), (-726353.3176250848-452042.7781647927j)),
+    (100000.0, 0.9999986281442432, 1.0000000137185576, (6878379.6835222+0j)),
+    (100000.0, 0.9999986281442432, 0.9999986144256856, (-641603.138516541+0j)),
+    (100000.0, 0.9999986281442432, 0.4999993140721216, (-0.6666657311856974+0j)),
+    (100000.0, 0.9999986281442432, (0.3+0.001j), (-0.32966933950073485-0.001316265017340981j)),
+    (100000.0, 0.9999986281442432, (0.4+0.9j), (-0.00370259592352599-0.5470704433048535j)),
+    (100000.0, 0.9999986281442432, (3+0.5j), (0.3583710162217929-0.07420812896869909j)),
+    (100000.0, 0.9999986281442432, -2.5, (-0.47619041611022905+0j)),
+    (10000000.0, 0.9999999897296018, (0.9999999928107213+1.0270398198564124e-11j), (-97070457.142979-61225770.993237264j)),
+    (10000000.0, 0.9999999897296018, 1.000000000102704, (909317361.6345979+0j)),
+    (10000000.0, 0.9999999897296018, 0.9999999896268978, (-86198408.44416006+0j)),
+    (10000000.0, 0.9999999897296018, 0.4999999948648009, (-0.6666666596962066+0j)),
+    (10000000.0, 0.9999999897296018, (0.3+0.001j), (-0.329669101341748-0.001316264068443854j)),
+    (10000000.0, 0.9999999897296018, (0.4+0.9j), (-0.0037026745569874266-0.5470702597461885j)),
+    (10000000.0, 0.9999999897296018, (3+0.5j), (0.358371040570018-0.0742081446819152j)),
+    (10000000.0, 0.9999999897296018, -2.5, (-0.47619047577471857+0j)),
+]
+
+
+@pytest.mark.parametrize("tau,beta,z,ref", CAUCHY_TWO_CUT_K_REFS)
+def test_cauchy_two_cut_at_the_kc2_root(tau, beta, z, ref):
+    assert support(tau).beta == beta
     assert abs(cauchy(tau, z) - ref) <= 5e-15 * (1.0 + tau) * abs(ref)
     assert abs(cauchy(tau, np.conj(z)) - np.conj(ref)) <= 5e-15 * (1.0 + tau) * abs(ref)
 
 
 # oracle: 40-digit mpmath of the closed forms, the two-cut one with q by
 # mpmath.quad as for CAUCHY_TWO_CUT_REFS, at points 1e-300, 1e-16 and
-# 1e-13 above a cut: the interior of a piece and next to an edge.
+# 1e-13 above a cut: the interior of a piece and next to an edge.  The
+# tau = 30 rows are frozen at the double beta of the E(beta) root.
 CAUCHY_NEAR_CUT_REFS = [
     (-2.0, (0.3+1e-300j), (0.6190392084062234-2.0381770277831865j)),
     (-2.0, (0.3+1e-16j), (0.6190392084062234-2.038177027783186j)),
@@ -529,8 +711,29 @@ CAUCHY_NEAR_CUT_REFS = [
 
 
 @pytest.mark.parametrize("tau,z,ref", CAUCHY_NEAR_CUT_REFS)
-def test_cauchy_a_hair_off_a_cut(tau, z, ref):
+def test_cauchy_a_hair_off_a_cut(monkeypatch, tau, z, ref):
     # a point however close above or below a cut is off it
+    if tau == 30.0:
+        _at_the_endpoint(monkeypatch, 0.9878907701746577)
+    assert abs(cauchy(tau, z) - ref) <= 2e-15 * abs(ref)
+    assert abs(cauchy(tau, np.conj(z)) - np.conj(ref)) <= 2e-15 * abs(ref)
+
+
+# oracle: as CAUCHY_NEAR_CUT_REFS, at the double beta and kc of the k'^2
+# root of tau = 30 and beta + 0.3 (1 - beta) at that beta
+CAUCHY_NEAR_CUT_K_REFS = [
+    (30.0, (0.9915235391222605+1e-300j), (-81.89043313471409-46.4665727347832j)),
+    (30.0, (0.9915235391222605+1e-16j), (-81.8904331347131-46.46657273478338j)),
+    (30.0, (0.9915235391222605+1e-13j), (-81.89043313372837-46.46657273496091j)),
+    (30.0, (0.999+1e-300j), (-114.006035017506-286.91510339365j)),
+    (30.0, (0.999+1e-16j), (-114.00603501748871-286.9151033936515j)),
+    (30.0, (0.999+1e-13j), (-114.00603500022476-286.91510339515077j)),
+]
+
+
+@pytest.mark.parametrize("tau,z,ref", CAUCHY_NEAR_CUT_K_REFS)
+def test_cauchy_a_hair_off_a_cut_at_the_kc2_root(tau, z, ref):
+    # 1.7e-15 here: beta^2 + kc^2 misses 1 by an ulp at tau = 30
     assert abs(cauchy(tau, z) - ref) <= 2e-15 * abs(ref)
     assert abs(cauchy(tau, np.conj(z)) - np.conj(ref)) <= 2e-15 * abs(ref)
 
@@ -766,8 +969,11 @@ def test_omega_answers_by_the_theta_formula_at_every_tau():
 
 
 def test_omega_above_the_beta_cap_raises_domain_error():
-    for tau in (3.6e10, 1e300):
-        with pytest.raises(DomainError, match="within 2e-12 of 1"):
+    # 3.6e10, past the former 2e-12 modulus cap, answers; from tau ~ 1.8e15
+    # on beta rounds to 1
+    assert math.isfinite(omega(3.6e10))
+    for tau in (1e16, 1e300):
+        with pytest.raises(DomainError, match="within rounding of 1"):
             omega(tau)
 
 
@@ -780,7 +986,7 @@ def test_report_fields():
     rep = report(2.0)
     assert rep.tau == 2.0
     assert rep.regime is Regime.REPULSIVE
-    assert rep.beta == solve_beta_repulsive(2.0)
+    assert rep.beta == solve_beta_repulsive(2.0)[0]
     assert rep.omega == omega(2.0)
     rep0 = report(0.0)
     assert rep0.beta == 1.0 and rep0.omega == math.log(2.0)

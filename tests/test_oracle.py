@@ -61,7 +61,7 @@ def test_pv_full_kernel_reduction(beta):
     # p.v. of the density kernel over the gap reduces to 2x I(sqrt(1-x^2), beta)
     for x in np.linspace(-beta, beta, 22)[1:-1]:
         x = float(x)
-        expected = 2.0 * x * integral_I(math.sqrt(1.0 - x * x), beta)
+        expected = 2.0 * x * integral_I(math.sqrt(1.0 - x * x), beta, math.sqrt(1.0 - beta * beta))
         assert abs(pv_integral("full", beta, x) - expected) <= 1e-9
 
 
@@ -83,6 +83,13 @@ def test_pv_domain_errors():
 @pytest.mark.parametrize("tau", [-3.0, -2.0, -1.0, 0.0, 1.0, TAU_CRITICAL, 2.0, 5.0])
 def test_total_mass_is_one(tau):
     assert abs(float(measure_quadrature(tau)) - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("tau", [2.0, 1e3, 1e5, 1e7, 1e10, 1e12, 1e14])
+def test_two_cut_mass_is_one_to_rounding(tau):
+    # the piece widths come from kc: as 1 - beta from the double beta, the
+    # mass was off by 5.5e-13 at tau = 1e3, 2.0e-8 at 1e7 and 3.7e-5 at 3e10
+    assert abs(measure_quadrature(tau) - 1.0) <= 1e-15
 
 
 def test_known_moments():
@@ -133,7 +140,7 @@ def test_potential_quad_matches_closed_form(tau):
 def test_potential_quad_repulsive_flatness():
     # no closed potential in this regime; the defining property stands in
     w = omega(2.0)
-    beta = solve_beta_repulsive(2.0)
+    beta = solve_beta_repulsive(2.0)[0]
     for x in (beta + 1e-3, 0.5 * (beta + 1.0), 0.97, -0.8):
         total = potential_quad(2.0, x) + external_field(2.0, x)
         assert abs(total - w) <= 1e-6
@@ -142,7 +149,7 @@ def test_potential_quad_repulsive_flatness():
 @pytest.mark.parametrize("tau,edges", [
     (-2.0, [math.sqrt(3.0) / 2.0]),          # soft edges only
     (0.5, [1.0]),                            # hard edges only
-    (2.0, [solve_beta_repulsive(2.0), 1.0]),  # one of each
+    (2.0, [solve_beta_repulsive(2.0)[0], 1.0]),  # one of each
 ])
 def test_potential_quad_stable_at_the_edges(tau, edges):
     # the equilibrium relation V + tau V_bg = omega holds up to the edge;
@@ -236,7 +243,8 @@ def test_discrete_minimizer_reports_nonconvergence(monkeypatch):
 # The verification report
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("tau", [-2.0, 0.0, 2.0, 1e4, 1e5, 1e6])
+# at tau = 1e7 the mass error was 2.0e-8 with piece widths from the double beta
+@pytest.mark.parametrize("tau", [-2.0, 0.0, 2.0, 1e4, 1e5, 1e6, 1e7])
 def test_verify_passes(tau):
     rep = verify(tau)
     assert isinstance(rep, VerificationReport)
@@ -373,9 +381,9 @@ def test_two_cut_quadrature_builds_one_I_table_per_tau(monkeypatch):
     points = []
     real = specfun_mod.integral_I
 
-    def counted(a, k):
+    def counted(a, k, kc):
         points.append(np.size(a))
-        return real(a, k)
+        return real(a, k, kc)
 
     monkeypatch.setattr(specfun_mod, "integral_I", counted)
     monkeypatch.setattr(equilibrium_mod, "integral_I", counted)

@@ -62,12 +62,13 @@ def test_geometric_breaks_rows_equal_scalar_calls():
 def test_integral_I_blocks_match_one_broadcast(k):
     # more points than one block holds, in a 2-D layout
     a = np.linspace(0.0, 3.0, 7 * 80).reshape(7, -1)
-    _, w, root = theta_rule(k)
+    kc = math.sqrt(1.0 - k * k)
+    _, w, root = theta_rule(k, kc)
     ref = np.sum(w / (a[..., None] + root), axis=-1)
-    got = integral_I(a, k)
+    got = integral_I(a, k, kc)
     assert got.shape == a.shape
     assert np.array_equal(got, ref)
-    assert isinstance(integral_I(0.25, k), float)
+    assert isinstance(integral_I(0.25, k, kc), float)
 
 
 @pytest.mark.parametrize("order", [16, 64])
@@ -205,6 +206,18 @@ def test_two_cut_flatness_at_the_rung_seams(tau):
     xs = np.concatenate([_seam_points(lo, hi) for lo, hi in support(tau).pieces])
     err = np.abs(potential_quad(tau, xs) + external_field(tau, xs) - omega(tau))
     assert np.max(err) <= 1e-12
+
+
+@pytest.mark.parametrize("tau", [2.0, 3.0, 30.0, 1e3])
+def test_two_cut_potential_on_the_support_is_the_equilibrium_level(tau):
+    # on two cuts `potential` answers omega - tau V(x) on the support, as in
+    # the other regimes; potential_quad is the independent reference
+    xs = []
+    for lo, hi in support(tau).pieces:
+        xs += [np.linspace(lo, hi, 100), [np.nextafter(lo, hi), np.nextafter(hi, lo)]]
+    xs = np.concatenate(xs)
+    u, ref = potential(tau, xs), potential_quad(tau, xs)
+    assert np.all(np.abs(u - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 @pytest.mark.parametrize("tau", [-2.0, 0.5, TAU_CRITICAL, 2.0, 3.0, 30.0, 1e3])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from logeq.errors import ConsistencyError, DomainError
-from logeq.equilibrium import TAU_CRITICAL, omega, solve_beta_repulsive
+from logeq.equilibrium import TAU_CRITICAL, omega, solve_beta_repulsive, support
 from logeq.oracle import measure_quadrature
 from logeq.series import (
     CoeffTable,
@@ -114,6 +114,11 @@ CK_LARGE_K = {
 }
 
 
+def _kc(beta: float) -> float:
+    """The complementary modulus sqrt(1 - beta^2) that goes with a beta."""
+    return math.sqrt((1.0 - beta) * (1.0 + beta))
+
+
 def _tau_for(beta: float) -> float:
     """The tau whose two-cut endpoint is the given beta."""
     return 1.0 / (complete_E(beta) - 1.0)
@@ -124,8 +129,8 @@ def _tau_for(beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 def test_frozen_coefficient_anchors():
-    assert abs(solve_beta_repulsive(2.0) - BETA2) <= 1e-13
-    table = c_recurrence(BETA2, 2.0, 60).values
+    assert abs(solve_beta_repulsive(2.0)[0] - BETA2) <= 1e-13
+    table = c_recurrence(BETA2, _kc(BETA2), 2.0, 60).values
     for k, ref in CK_REFS.items():
         assert abs(table[k] - ref) <= 5e-13 * abs(ref)
         assert abs(c_quadrature(BETA2, k) - ref) <= 5e-13 * abs(ref)
@@ -135,7 +140,7 @@ def test_three_routes_agree():
     # backward recurrence vs direct quadrature, every k up to 60 at the
     # tau = 2 endpoint, both against frozen 30-digit values at the anchors
     # (test_frozen_coefficient_anchors) and beyond (CK_MP)
-    table = c_recurrence(BETA2, 2.0, 60)
+    table = c_recurrence(BETA2, _kc(BETA2), 2.0, 60)
     for k in range(61):
         quad = c_quadrature(BETA2, k)
         assert abs(table.values[k] - quad) <= 1e-12 * quad
@@ -144,14 +149,14 @@ def test_three_routes_agree():
 @pytest.mark.parametrize("beta", sorted(CK_MP))
 def test_recurrence_against_frozen_references(beta):
     refs = CK_MP[beta]
-    table = c_recurrence(beta, _tau_for(beta), max(refs)).values
+    table = c_recurrence(beta, _kc(beta), _tau_for(beta), max(refs)).values
     for k, ref in refs.items():
         assert abs(table[k] - ref) <= 2e-14 * ref, k
 
 
 def test_quadrature_large_k():
     # both quadrature orders (128 for k <= 200, 256 above)
-    table = c_recurrence(BETA2, 2.0, 250).values
+    table = c_recurrence(BETA2, _kc(BETA2), 2.0, 250).values
     for k, ref in CK_LARGE_K.items():
         assert abs(c_quadrature(BETA2, k) - ref) <= 1e-10 * ref
         assert abs(table[k] - ref) <= 2e-14 * ref
@@ -176,21 +181,21 @@ def test_initial_coeff_gate_rejects_doubled_log_coefficient():
 
 
 def test_c_init_values_and_validation():
-    c0, c1 = c_init(BETA2, 2.0)
+    c0, c1 = c_init(BETA2, _kc(BETA2), 2.0)
     assert c0 == complete_E(BETA2)
     assert abs(c0 - 1.5) <= 1e-9  # endpoint equation E(beta) = 1 + 1/tau
     assert abs(c1 - CK_REFS[1]) <= 1e-12
     with pytest.raises(DomainError):
-        c_init(1.2, 2.0)
+        c_init(1.2, 0.0, 2.0)
     with pytest.raises(DomainError):
-        c_init(0.3, 2.0)  # E(0.3) != 1.5: pair describes no equilibrium
+        c_init(0.3, _kc(0.3), 2.0)  # E(0.3) != 1.5: pair describes no equilibrium
 
 
 def test_c2_stable_at_tiny_beta():
     # A forward run of the recurrence would divide by beta^2 = 1e-12 here;
     # the backward run is as accurate as anywhere.  Limit c_2(0) = pi/4.
     beta = 1e-6
-    c2 = c_recurrence(beta, _tau_for(beta), 40).values[2]
+    c2 = c_recurrence(beta, _kc(beta), _tau_for(beta), 40).values[2]
     assert abs(c2 - 0.25 * math.pi) <= 1e-10
 
 
@@ -198,14 +203,14 @@ def test_recurrence_fallback_table_is_correct():
     # At beta = 0.05 a forward run of the recurrence would amplify roundoff
     # by ~400x per step; run backward every entry has to come out right.
     beta = 0.05
-    table = c_recurrence(beta, _tau_for(beta), 40)
+    table = c_recurrence(beta, _kc(beta), _tau_for(beta), 40)
     for k in range(41):
         quad = c_quadrature(beta, k)
         assert abs(table.values[k] - quad) <= 1e-12 * quad
 
 
 def test_coeff_table_validation():
-    good = c_recurrence(BETA2, 2.0, 12)
+    good = c_recurrence(BETA2, _kc(BETA2), 2.0, 12)
     assert good.K == 12 and len(good.values) == 13
     v = good.values.copy()
     with pytest.raises(ConsistencyError):
@@ -232,9 +237,9 @@ def test_quadrature_domain_errors():
     with pytest.raises(DomainError):
         c_quadrature(0.5, -1)
     with pytest.raises(DomainError):
-        c_recurrence(BETA2, 2.0, 2)
+        c_recurrence(BETA2, _kc(BETA2), 2.0, 2)
     with pytest.raises(DomainError, match="use c_quadrature"):
-        c_recurrence(0.99999, _tau_for(0.99999), 10)  # ~3.9e6 steps
+        c_recurrence(0.99999, _kc(0.99999), _tau_for(0.99999), 10)  # ~3.9e6 steps
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +274,13 @@ def test_truncation_tolerance_controls_tail():
 # with J0, J1 in closed form through K, E and Pi on [1, 2] and by their
 # moment series beyond; beta from mpmath.findroot on E = 1 + 1/tau.  At
 # tau <= 1e3 they agree with the coefficient series summed in 40-digit
-# fixed point to all 30 digits.  Those at tau = 2, 1e7, 1e10 and 3e10 come
-# from two formulas at 60 digits on the 40-digit root k'^2 of
+# fixed point to all 30 digits.  Those at tau = 2, 1e7, 1e10, 3e10, 1e12
+# and 1e14 come from two formulas at 60 digits on the root k'^2 of
 # E(sqrt(1 - k'^2)) = 1 + 1/tau: the theta formula of `omega` by mpmath.quad
 # on panels graded toward phi = 0 by k', and omega_integral's double
 # integral with J0 = 2xK - 2(x^2 - 1)/x Pi(beta^2/x^2, beta) and
-# J1 = (x J0 - 2E)/beta at 2 log10(x) extra digits; the two agree to 59
-# digits.
+# J1 = (x J0 - 2E)/beta at extra digits; the two agree to 57 digits or
+# more.
 OMEGA_REFS = {
     TAU_CRITICAL + 1e-12: 1.90749833879612752118945367718,
     2.0: 2.07280477580112332231274073891,
@@ -289,6 +294,8 @@ OMEGA_REFS = {
     1e7: 3068538.26365015329852271499883,
     1e10: 3068528208.07447098231004286111,
     3e10: 9205584597.44501928892447565711,
+    1e12: 306852819456.110548651489783022,
+    1e14: 30685281944023.8956550740277539,
 }
 
 
@@ -301,21 +308,17 @@ def test_omega_integral_against_frozen_references(tau):
 @pytest.mark.parametrize("tau", sorted(OMEGA_REFS))
 def test_omega_against_frozen_references(tau):
     ref = OMEGA_REFS[tau]
-    # omega is the level of the density at the double beta, whose mass
-    # misses 1 by beta's rounding; that sets its error: 1.1e-14 at 1e5,
-    # 6.1e-14 at 1e7 and 5.4e-14 at 3e10 (see the test below)
-    assert abs(omega(tau) - ref) <= (2e-14 if tau <= 1e5 else 1e-13) * ref
+    # the theta formula on the k'^2 root: within 6e-16 of each
+    assert abs(omega(tau) - ref) <= 2e-15 * ref
 
 
 @pytest.mark.parametrize("tau", sorted(OMEGA_REFS))
 def test_omega_less_its_mass_defect_against_frozen_references(tau):
-    # The density at the double beta has mass m = 1 + O(ulp(beta) tau K),
-    # and its level, which omega answers, sits (m - 1) log(2/k') above the
-    # exact omega.  With m read by the quadrature oracle, what is left is
-    # the error of the theta formula: within 4.3e-16 relative of each.
+    # A density of mass m has its level (m - 1) log(2/k') above the exact
+    # omega.  With m read by the quadrature oracle, 1 to rounding on the
+    # k'^2 root, what is left is the error of the theta formula.
     ref = OMEGA_REFS[tau]
-    beta = solve_beta_repulsive(tau)
-    log_2_over_kp = math.log(2.0 / math.sqrt((1.0 - beta) * (1.0 + beta)))
+    log_2_over_kp = math.log(2.0 / support(tau).kc)
     exact = omega(tau) - (measure_quadrature(tau) - 1.0) * log_2_over_kp
     assert abs(exact - ref) <= 2e-15 * ref
 

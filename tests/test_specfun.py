@@ -9,12 +9,18 @@ import math
 import numpy as np
 import pytest
 
-from logeq.equilibrium import TAU_CRITICAL, solve_beta_repulsive
+from logeq.equilibrium import TAU_CRITICAL, support
 from logeq.errors import DomainError
 from logeq.specfun import (_cache_line_rows, complete_E, complete_K, integral_I,
                            integral_I_cheb)
 
 BETA2 = 0.41729943021563715
+
+
+def _kc(k):
+    # the complementary modulus of a caller's double k, which integral_I
+    # takes with it
+    return math.sqrt((1.0 - k) * (1.0 + k))
 
 # oracle: mpmath.ellipk / mpmath.ellipe with parameter m = k**2, dps=30.
 # The last row sits so close to the logarithmic singularity of K that the
@@ -62,7 +68,7 @@ I_REFS = [
 
 @pytest.mark.parametrize("a,k,ref", I_REFS)
 def test_integral_I_reference(a, k, ref):
-    assert abs(integral_I(a, k) - ref) <= 1e-10 * abs(ref)
+    assert abs(integral_I(a, k, _kc(k)) - ref) <= 1e-10 * abs(ref)
 
 
 # oracle: mpmath.quad (dps 40) of the defining integral in phi = pi/2 -
@@ -88,7 +94,7 @@ I_NEAR_ONE_REFS = [
 @pytest.mark.parametrize("a,k,ref", I_NEAR_ONE_REFS)
 def test_integral_I_next_to_the_modulus_cap(a, k, ref):
     # the layer of width sqrt(1 - k) at theta = pi/2 is resolved at every k
-    assert abs(integral_I(a, k) - ref) <= 1e-15 * ref
+    assert abs(integral_I(a, k, _kc(k)) - ref) <= 1e-15 * ref
 
 
 # oracle: mpmath.quad (dps 40) of the defining integral in phi = pi/2 -
@@ -111,33 +117,33 @@ I_COMPLEX_REFS = [
 
 @pytest.mark.parametrize("a,k,ref", I_COMPLEX_REFS)
 def test_integral_I_at_complex_a(a, k, ref):
-    got = integral_I(a, k)
+    got = integral_I(a, k, _kc(k))
     assert type(got) is complex
     assert abs(got - ref) <= 1e-15 * abs(ref)
-    assert integral_I(np.array([a, np.conj(a)]), k)[1] == np.conj(got)
+    assert integral_I(np.array([a, np.conj(a)]), k, _kc(k))[1] == np.conj(got)
 
 
 def test_integral_I_rejects_negative_real_part():
     for a in (-0.1, -1e-300 + 1j, np.array([0.5, -0.5j - 1e-3])):
         with pytest.raises(DomainError):
-            integral_I(a, 0.6)
+            integral_I(a, 0.6, 0.8)
 
 
 def test_integral_I_limits():
     # a -> 0 turns the integrand into 1/sqrt(1 - k^2 sin^2 t), so the value
     # approaches K(k) from below.
     k = 0.6
-    assert abs(integral_I(1e-14, k) - complete_K(k)) <= 1e-9
+    assert abs(integral_I(1e-14, k, 0.8) - complete_K(k)) <= 1e-9
     # huge a: a * integral -> pi/2 with an O(1/a) defect
-    assert abs(1e6 * integral_I(1e6, k) - 0.5 * math.pi) <= 2e-6
+    assert abs(1e6 * integral_I(1e6, k, 0.8) - 0.5 * math.pi) <= 2e-6
 
 
 def test_integral_I_vectorized():
     a = np.array([0.5, 1.0, 2.0])
-    vals = integral_I(a, BETA2)
+    vals = integral_I(a, BETA2, _kc(BETA2))
     assert vals.shape == (3,)
     for ai, vi in zip(a, vals):
-        assert abs(integral_I(float(ai), BETA2) - vi) == 0.0
+        assert abs(integral_I(float(ai), BETA2, _kc(BETA2)) - vi) == 0.0
 
 
 @pytest.mark.parametrize("tau", [TAU_CRITICAL + 1e-12, TAU_CRITICAL + 1e-3, 2.0,
@@ -145,12 +151,12 @@ def test_integral_I_vectorized():
 def test_integral_I_cheb_matches_the_quadrature(tau):
     # the support range a in [0, k'] of the two-cut density, densely, for
     # beta from ~1e-6 up to 1 - 1.4e-6
-    k = solve_beta_repulsive(tau)
-    a = np.linspace(0.0, math.sqrt((1.0 - k) * (1.0 + k)), 4001)
-    ref = integral_I(a, k)
-    assert np.all(np.abs(integral_I_cheb(a, k) - ref) <= 1e-14 * ref)
-    got = integral_I_cheb(float(a[1234]), k)
-    assert type(got) is float and got == integral_I_cheb(a[1234:1235], k)[0]
+    k, kc = support(tau).beta, support(tau).kc
+    a = np.linspace(0.0, kc, 4001)
+    ref = integral_I(a, k, kc)
+    assert np.all(np.abs(integral_I_cheb(a, k, kc) - ref) <= 1e-14 * ref)
+    got = integral_I_cheb(float(a[1234]), k, kc)
+    assert type(got) is float and got == integral_I_cheb(a[1234:1235], k, kc)[0]
 
 
 def test_integral_I_cheb_shapes_and_aligned_scratch():
@@ -162,7 +168,7 @@ def test_integral_I_cheb_shapes_and_aligned_scratch():
         assert all(row.ctypes.data % 64 == 0 for row in rows)
     k = 0.6
     a = np.linspace(0.0, 0.8, 35).reshape(5, 7)
-    got = integral_I_cheb(a, k)
-    assert got.shape == (5, 7) and integral_I_cheb(a[:0], k).shape == (0, 7)
-    assert np.array_equal(got.ravel(), integral_I_cheb(a.ravel(), k))
+    got = integral_I_cheb(a, k, 0.8)
+    assert got.shape == (5, 7) and integral_I_cheb(a[:0], k, 0.8).shape == (0, 7)
+    assert np.array_equal(got.ravel(), integral_I_cheb(a.ravel(), k, 0.8))
 
