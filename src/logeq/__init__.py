@@ -17,11 +17,10 @@ share; `cli` a command-line front end.
 """
 
 from .equilibrium import (TAU_CRITICAL, EquilibriumReport, Regime, Support,
-                          SupportShape, cauchy,
-                          classify_regime, density, edge_coefficient,
+                          cauchy, classify_regime, density, edge_coefficient,
                           external_field, g_function, lebesgue_cauchy,
                           lebesgue_g, lebesgue_potential, omega,
-                          phi_joukowski, potential, ratio_root, report,
+                          phi_joukowski, potential, report,
                           solve_beta_repulsive, sqrt_cut, support)
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .oracle import (DiscreteSolution, GridMeasure, VerificationReport,
@@ -33,9 +32,9 @@ from .specfun import complete_E, complete_K, integral_I
 
 __all__ = [
     "TAU_CRITICAL",
-    "Regime", "Support", "SupportShape", "EquilibriumReport",
+    "Regime", "Support", "EquilibriumReport",
     "classify_regime", "solve_beta_repulsive", "support",
-    "sqrt_cut", "phi_joukowski", "ratio_root",
+    "sqrt_cut", "phi_joukowski",
     "lebesgue_g", "lebesgue_cauchy", "lebesgue_potential", "external_field",
     "density", "edge_coefficient", "cauchy", "g_function", "potential",
     "omega", "report",

@@ -105,9 +105,8 @@ def _cmd_regime(args, parser) -> int:
 
 
 def _cmd_beta(args, parser) -> int:
-    payload = {"tau": args.tau,
-               "regime": classify_regime(args.tau).value,
-               "beta": support(args.tau).beta}
+    sup = support(args.tau)
+    payload = {"tau": args.tau, "regime": sup.regime.value, "beta": sup.beta}
     _write(json.dumps(payload) + "\n", None)
     return 0
 

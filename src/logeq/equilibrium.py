@@ -43,46 +43,41 @@ class Regime(enum.Enum):
     REPULSIVE = "repulsive"
 
 
-class SupportShape(enum.Enum):
-    FULL_INTERVAL = "full-interval"
-    ONE_CUT = "one-cut"
-    TWO_CUT = "two-cut"
-
-
 @dataclass(frozen=True)
 class Support:
-    """Support of the equilibrium measure.
+    """Support of the equilibrium measure; the regime fixes its topology.
 
-    `beta` is the inner endpoint scale: the support is [-beta, beta] for
-    ONE_CUT, [-1, -beta] u [beta, 1] for TWO_CUT, and beta == 1.0 for
-    FULL_INTERVAL.  `kc` = sqrt(1 - beta^2), read by consumers in place of
+    `beta` is the inner endpoint scale: the support is [-beta, beta] in the
+    attractive regime (one cut), [-1, -beta] u [beta, 1] in the repulsive
+    regime (two cuts), and beta == 1.0 in the intermediate regime (the full
+    interval).  `kc` = sqrt(1 - beta^2), read by consumers in place of
     beta: 0 on the full interval, (1 + tau)/tau on one cut, the k'^2 root on two.
     """
 
-    shape: SupportShape
+    regime: Regime
     beta: float
     kc: float
 
     def __post_init__(self):
         if not (0.0 < self.beta <= 1.0 and 0.0 <= self.kc <= 1.0
                 and abs(self.beta ** 2 + self.kc ** 2 - 1.0) <= 1e-15
-                and (self.shape is SupportShape.FULL_INTERVAL) == (self.kc == 0.0)):
-            raise DomainError(f"beta={self.beta!r}, kc={self.kc!r} is no {self.shape.value} "
+                and (self.regime is Regime.INTERMEDIATE) == (self.kc == 0.0)):
+            raise DomainError(f"beta={self.beta!r}, kc={self.kc!r} is no {self.regime.value} "
                               "endpoint: beta^2 + kc^2 = 1, kc = 0 on the full interval only")
 
     @property
     def half_length(self) -> float:
         """Half the length of each piece; kc^2/(2 (1 + beta)) on two cuts."""
-        if self.shape is SupportShape.TWO_CUT:
+        if self.regime is Regime.REPULSIVE:
             return 0.5 * self.kc * self.kc / (1.0 + self.beta)
         return self.beta
 
     @property
     def pieces(self) -> tuple[tuple[float, float], ...]:
         """Closed intervals making up the support, in increasing order."""
-        if self.shape is SupportShape.FULL_INTERVAL:
+        if self.regime is Regime.INTERMEDIATE:
             return ((-1.0, 1.0),)
-        if self.shape is SupportShape.ONE_CUT:
+        if self.regime is Regime.ATTRACTIVE:
             return ((-self.beta, self.beta),)
         return ((-1.0, -self.beta), (self.beta, 1.0))
 
@@ -158,15 +153,15 @@ def support(tau: float) -> Support:
     """Support of the equilibrium measure at tau, with beta and kc."""
     regime = classify_regime(tau)
     if regime is Regime.INTERMEDIATE:
-        return Support(SupportShape.FULL_INTERVAL, 1.0, 0.0)
+        return Support(regime, 1.0, 0.0)
     if regime is Regime.ATTRACTIVE:
         # beta^2 = 1 - ((1 + tau)/tau)^2 = a (2 - a) with a = -1/tau: the
         # difference 1 - s^2 cancels as tau -> -inf, and rounds to 0 from
         # tau ~ -9e15 on, where beta ~ sqrt(2/|tau|) is a normal double.
         # Next to tau = -1 it rounds to at most 1; kc keeps what beta loses.
         a = -1.0 / tau
-        return Support(SupportShape.ONE_CUT, math.sqrt(a * (2.0 - a)), (1.0 + tau) / tau)
-    return Support(SupportShape.TWO_CUT, *solve_beta_repulsive(tau))
+        return Support(regime, math.sqrt(a * (2.0 - a)), (1.0 + tau) / tau)
+    return Support(regime, *solve_beta_repulsive(tau))
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +205,6 @@ def phi_joukowski(z):
     """Inverse Joukowski map z + (z^2 - 1)^{1/2}, mapping C \\ [-1,1] to |w| > 1."""
     z = np.asarray(z, dtype=complex)
     return _descalar(z + _sqrt_cut_arr(z, 1.0))
-
-
-def ratio_root(z, beta: float):
-    """((z^2 - beta^2)/(z^2 - 1))^{1/2} with cuts only on [-1,-beta] u [beta,1].
-
-    Both half-power factors jump across (-beta, beta) simultaneously, so the
-    ratio is analytic there (and equals the positive root, beta at z = 0);
-    it tends to 1 at infinity.
-    """
-    z = np.asarray(z, dtype=complex)
-    return _descalar(_sqrt_cut_arr(z, beta) / _sqrt_cut_arr(z, 1.0))
 
 
 def _points(z, what: str, cuts=()):
@@ -338,7 +322,6 @@ def density(tau: float, x):
     `integral_I_cheb` (24 quadratures per beta, then a short recurrence per
     point); the result is good to ~1e-14 relative up to both edges.
     """
-    regime = classify_regime(tau)
     sup = support(tau)
     beta, kc = sup.beta, sup.kc
     shape = np.shape(x)
@@ -353,14 +336,16 @@ def density(tau: float, x):
         bad = arr[~ok][0]
         raise DomainError(f"x={bad!r} is outside the open support interior at tau={tau!r}")
 
-    if regime is Regime.INTERMEDIATE:
-        vals = (1.0 + tau) / (math.pi * np.sqrt(1.0 - arr * arr)) - 0.5 * tau
-    elif regime is Regime.ATTRACTIVE:
+    # 1 - x^2 and beta^2 - x^2 as a difference times a sum: as differences
+    # of squares they cancel next to the edges.
+    absx = np.abs(arr)
+    if sup.regime is Regime.INTERMEDIATE:
+        vals = (1.0 + tau) / (math.pi * np.sqrt((1.0 - absx) * (1.0 + absx))) - 0.5 * tau
+    elif sup.regime is Regime.ATTRACTIVE:
         # pi/2 - arctan(sqrt((1-b^2)/(b^2-x^2))) rewritten through the
         # complementary arctangent: no cancellation at the soft edges.
-        vals = (-tau / math.pi) * np.arctan(np.sqrt((beta * beta - arr * arr) / kc ** 2))
+        vals = (-tau / math.pi) * np.arctan(np.sqrt((beta - absx) * (beta + absx) / kc ** 2))
     else:
-        absx = np.abs(arr)
         vals = _repulsive_density(tau, sup, absx, (absx - beta) * (absx + beta),
                                   (1.0 - absx) * (1.0 + absx))
     return _descalar(vals.reshape(shape))
@@ -376,13 +361,12 @@ def _density_offset(tau: float, edge: float, off):
     the piece adjacent to the edge; callers own that.
     """
     off = np.asarray(off, dtype=float)
-    regime = classify_regime(tau)
     sup = support(tau)
     beta = sup.beta
-    if regime is Regime.INTERMEDIATE:
+    if sup.regime is Regime.INTERMEDIATE:
         one_minus = off * (2.0 - off)
         return (1.0 + tau) / (math.pi * np.sqrt(one_minus)) - 0.5 * tau
-    if regime is Regime.ATTRACTIVE:
+    if sup.regime is Regime.ATTRACTIVE:
         gap = off * (2.0 * beta - off)
         return (-tau / math.pi) * np.arctan(np.sqrt(gap / sup.kc ** 2))
     width = 2.0 * sup.half_length  # not 1 - beta, which rounds it away
@@ -416,14 +400,13 @@ def edge_coefficient(tau: float, edge: str) -> float:
       (tau/pi) (K - E) sqrt(2 beta)/(beta k') without the cancellation of
       K - E at small beta.  k' is `Support.kc`.
     """
-    regime = classify_regime(tau)
     sup = support(tau)
     beta, kc = sup.beta, sup.kc
-    if regime is Regime.INTERMEDIATE:
+    if sup.regime is Regime.INTERMEDIATE:
         if edge != "hard":
             raise DomainError("intermediate regime has only hard edges at +-1")
         return (1.0 + tau) / math.pi
-    if regime is Regime.ATTRACTIVE:
+    if sup.regime is Regime.ATTRACTIVE:
         if edge != "soft":
             raise DomainError("attractive regime has only soft edges at +-beta")
         return (-tau / math.pi) / kc
@@ -452,8 +435,10 @@ def _cauchy_attractive(tau: float, beta: float, z):
 
 
 def _cauchy_repulsive(tau: float, sup: Support, z):
-    # tau (ratio_root(z, beta) q(z)/2 - atanh(1/z)), q the integral of
-    # sqrt((1-x^2)/(beta^2-x^2))/(z-x) over the gap [-beta, beta].
+    # tau (rho q(z)/2 - atanh(1/z)), rho = sqrt_cut(z, beta)/sqrt_cut(z, 1)
+    # and q the integral of sqrt((1-x^2)/(beta^2-x^2))/(z-x) over the gap
+    # [-beta, beta].  Both factors of rho jump across the gap, so rho is
+    # analytic there.
     beta, kc = sup.beta, sup.kc
     rho = _sqrt_cut_arr(z, beta) / _sqrt_cut_arr(z, 1.0)
     out = np.empty(z.shape, complex)
@@ -491,20 +476,19 @@ def cauchy(tau: float, z):
     answers.  One closed form per regime, at every modulus:
     (1 + tau)/sqrt_cut(z, 1) - tau atanh(1/z) on the full interval,
     2 tau atanh(1/(tau (sqrt_cut(z, beta) + z))) on one cut.  On two,
-    tau (z ratio_root(z, beta) integral_I(sqrt(1 - z^2), beta) - atanh z)
-    for |z| < 2, the real gap included, and from |z| = 2 on
-    tau ratio_root(z, beta) q/2 - tau atanh(1/z), q the gap-kernel
-    integral on the rule of `theta_rule`.  Relative error within 1e-12
+    tau (z rho integral_I(sqrt(1 - z^2), beta) - atanh z) with
+    rho = sqrt_cut(z, beta)/sqrt_cut(z, 1) for |z| < 2, the real gap
+    included, and from |z| = 2 on tau rho q/2 - tau atanh(1/z), q the
+    gap-kernel integral on the rule of `theta_rule`.  Relative error within 1e-12
     from |z| = 2 to 1e300 for tau in [-1e8, 10]; the two-cut terms cancel
     by a factor ~1 + tau, which sets the error up to tau = 1e7.  Maps
     conjugates to conjugates.
     """
     sup = support(tau)
     z, shape = _points(z, "cauchy transform", sup.pieces)
-    regime = classify_regime(tau)
-    if regime is Regime.INTERMEDIATE:
+    if sup.regime is Regime.INTERMEDIATE:
         out = (1.0 + tau) / _sqrt_cut_arr(z, 1.0) - tau * _lebesgue_cauchy(z)
-    elif regime is Regime.ATTRACTIVE:
+    elif sup.regime is Regime.ATTRACTIVE:
         out = _cauchy_attractive(tau, sup.beta, z)
     else:
         out = _cauchy_repulsive(tau, sup, z)
@@ -516,10 +500,9 @@ def cauchy(tau: float, z):
 # ---------------------------------------------------------------------------
 
 def _g_function(tau: float, sup: Support, z):
-    regime = classify_regime(tau)
-    if regime is Regime.INTERMEDIATE:
+    if sup.regime is Regime.INTERMEDIATE:
         return (1.0 + tau) * np.log(0.5 * phi_joukowski(z)) - tau * _lebesgue_g(z)
-    if regime is Regime.ATTRACTIVE:
+    if sup.regime is Regime.ATTRACTIVE:
         beta, s = sup.beta, sup.kc
         r = _sqrt_cut_arr(z, beta)
         return (z * _cauchy_attractive(tau, beta, z)
@@ -559,7 +542,7 @@ def potential(tau: float, z):
     on = (z.imag == 0.0) & (lo <= np.abs(z.real)) & (np.abs(z.real) <= hi)
     if on.any():
         out[on] = 0.5 * tau * (_entropy_bracket(z.real[on]) - 2.0) + omega(tau)
-    if sup.shape is SupportShape.TWO_CUT and not on.all():
+    if sup.regime is Regime.REPULSIVE and not on.all():
         from .oracle import potential_quad
         out[~on] = potential_quad(tau, z[~on])
     elif not on.all():  # the g-function costs ~40 us even on no points
@@ -586,11 +569,11 @@ def _omega_theta(tau: float) -> float:
 
 
 @lru_cache(maxsize=1024)
-def _omega_repulsive(tau: float) -> tuple[tuple[str, float], tuple[str, float]]:
+def _omega_repulsive(tau: float) -> tuple[float, float]:
     """The two-cut omega by the theta formula, and by `omega_integral`
-    checking it, each as (name, value)."""
+    checking it: (theta, integral)."""
     from .series import omega_integral
-    return ("theta", _omega_theta(tau)), ("integral", omega_integral(tau))
+    return _omega_theta(tau), omega_integral(tau)
 
 
 def omega(tau: float) -> float:
@@ -604,26 +587,25 @@ def omega(tau: float) -> float:
     finite tau up to ~1.8e15; above, beta rounds to 1 and DomainError is
     raised.
     """
-    regime = classify_regime(tau)
-    if regime is Regime.INTERMEDIATE:
+    sup = support(tau)
+    if sup.regime is Regime.INTERMEDIATE:
         return (1.0 + tau) * math.log(2.0)
-    if regime is Regime.ATTRACTIVE:
-        sup = support(tau)
+    if sup.regime is Regime.ATTRACTIVE:
         return ((1.0 + tau) * math.log(2.0) - math.log(sup.beta) + 1.0 + tau
                 - tau * math.log(1.0 + sup.kc))
-    (name, value), (check_name, check) = _omega_repulsive(tau)
+    value, check = _omega_repulsive(tau)
     # Both routes sum terms of size ~tau: past |omega| = 1e4 (tau ~ 3.3e4)
     # the gate is relative, 1e-12, about 900 times their largest measured
     # relative spread (1.1e-15 over 3000 log-uniform tau up to 3.4e10).
     if abs(value - check) > max(1e-8, 1e-12 * abs(value)):
         raise ConsistencyError(
-            f"omega routes disagree at tau={tau!r}: {name} {value!r} "
-            f"vs {check_name} {check!r}")
+            f"omega routes disagree at tau={tau!r}: theta {value!r} "
+            f"vs integral {check!r}")
     return value
 
 
 def report(tau: float) -> EquilibriumReport:
     """Bundle regime, endpoint and equilibrium constant for one tau."""
     sup = support(tau)
-    return EquilibriumReport(tau=float(tau), regime=classify_regime(tau),
+    return EquilibriumReport(tau=float(tau), regime=sup.regime,
                              beta=sup.beta, omega=omega(tau))

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._quad import composite_nodes, geometric_breaks, gl_map, gl_rule, graded_rule
-from .equilibrium import (Regime, Support, SupportShape, _density_offset,
+from .equilibrium import (Regime, Support, _density_offset,
                           _descalar, _omega_repulsive, _points, cauchy,
                           classify_regime, density, external_field, omega,
                           support)
@@ -549,26 +549,12 @@ def discrete_minimize(tau: float, n_nodes: int, max_iters: int) -> DiscreteSolut
 # Full verification sweep
 # ---------------------------------------------------------------------------
 
-# Offsets of the boundary values in _sp_density, in units of its scale h,
-# and the weights of the quadratic extrapolation from them to eps = 0.
-_SP_EPS = (1e-3, 1e-4, 1e-5)
-_SP_WEIGHTS = tuple(math.prod((0.0 - e) / (e_i - e) for e in _SP_EPS if e != e_i)
-                    for e_i in _SP_EPS)
-
-
 def _sp_density(tau: float, x):
-    """Density recovered from one-sided Cauchy boundary values.
-
-    Evaluates -Im C(x + i eps)/pi on eps = (1e-3, 1e-4, 1e-5) h at the
-    points of x (an array), in one cauchy call, and removes the eps
-    dependence by quadratic extrapolation to eps = 0.  The scale
-    h = min(1, w/2) follows the width w shared by the support pieces:
-    fixed offsets reach past the range where the quadratic model holds
-    once the pieces get narrow (two-cut tau above ~8.7, one-cut ~ -1e8).
-    """
-    h = min(1.0, support(tau).half_length)
-    vals = -cauchy(tau, x[:, None] + 1j * (np.array(_SP_EPS) * h)).imag / math.pi
-    return sum(li * vals[:, i] for i, li in enumerate(_SP_WEIGHTS))
+    """Density recovered from the one-sided Cauchy boundary value
+    -Im C(x + i0)/pi (Sokhotski-Plemelj) at the points of x (an array), in
+    one cauchy call.  `cauchy` answers at any Im z != 0, so the boundary
+    value is read at Im z = 1e-300."""
+    return -cauchy(tau, x + 1e-300j).imag / math.pi
 
 
 def _support_grid(sup: Support, n_total: int, inset_frac: float) -> np.ndarray:
@@ -585,7 +571,7 @@ def _gap_grid(tau: float, sup: Support, n_total: int) -> np.ndarray:
     """Off-support probe points, inset from soft edges where the margin
     vanishes with a 3/2 power (the inset keeps it above quadrature noise)."""
     beta = sup.beta
-    if sup.shape is SupportShape.ONE_CUT:
+    if sup.regime is Regime.ATTRACTIVE:
         ins = 1e-3 * sup.kc ** 2 / (1.0 + beta)  # 1e-3 (1 - beta)
         right = np.linspace(beta + ins, 1.0, n_total // 2)
         return np.concatenate([-right[::-1], right])
@@ -597,14 +583,13 @@ def verify(tau: float) -> VerificationReport:
     """Check the defining properties of the computed equilibrium at tau.
 
     Every component uses an evaluation route independent of the closed
-    forms it checks (quadrature of the density, boundary-value
-    extrapolation, the spread between omega's two routes).  In the
-    repulsive regime that spread is the one omega gated, read from its
-    cache: the theta formula against `omega_integral`, at every tau.
+    forms it checks (quadrature of the density, the Cauchy boundary value,
+    the spread between omega's two routes).  In the repulsive regime that
+    spread is the one omega gated, read from its cache: the theta formula
+    against `omega_integral`, at every tau.
     Components that raise are recorded as infinities; this function does
     not throw.
     """
-    regime = classify_regime(tau)
     sup = support(tau)
 
     try:
@@ -621,7 +606,7 @@ def verify(tau: float) -> VerificationReport:
         flatness_error = math.inf
 
     try:
-        if regime is Regime.INTERMEDIATE:
+        if sup.regime is Regime.INTERMEDIATE:
             inequality_margin = 0.0
         else:
             w = omega(tau)
@@ -638,8 +623,8 @@ def verify(tau: float) -> VerificationReport:
         sp_error = math.inf
 
     try:
-        if regime is Regime.REPULSIVE:
-            (_, value), (_, check) = _omega_repulsive(tau)
+        if sup.regime is Regime.REPULSIVE:
+            value, check = _omega_repulsive(tau)
             cross = abs(value - check)
         else:
             lo, hi = sup.pieces[0]

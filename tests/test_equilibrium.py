@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from logeq._quad import gl_map
-from logeq.equilibrium import (TAU_CRITICAL, Regime, Support,
-                               SupportShape, cauchy,
+from logeq.equilibrium import (TAU_CRITICAL, Regime, Support, cauchy,
                                classify_regime, density, edge_coefficient,
                                external_field, g_function, lebesgue_cauchy,
                                lebesgue_g, lebesgue_potential, omega,
-                               potential, report, solve_beta_repulsive,
-                               sqrt_cut, support)
+                               phi_joukowski, potential, report,
+                               solve_beta_repulsive, sqrt_cut, support)
 from logeq.errors import DomainError
 from logeq.specfun import complete_E
 
@@ -34,7 +33,7 @@ def _at_the_endpoint(monkeypatch, beta):
     to a few ulps, and the tables "at the k'^2 root" below test the
     solved endpoint itself."""
     import logeq.equilibrium as equilibrium_mod
-    sup = Support(SupportShape.TWO_CUT, beta, math.sqrt((1.0 - beta) * (1.0 + beta)))
+    sup = Support(Regime.REPULSIVE, beta, math.sqrt((1.0 - beta) * (1.0 + beta)))
     monkeypatch.setattr(equilibrium_mod, "support", lambda tau: sup)
 
 
@@ -57,26 +56,27 @@ def test_classify_regime(tau, regime):
 
 
 def test_support_shapes():
-    assert support(0.0).shape is SupportShape.FULL_INTERVAL
+    assert support(0.0).regime is Regime.INTERMEDIATE
     assert support(0.0).pieces == ((-1.0, 1.0),)
-    assert support(-2.0).shape is SupportShape.ONE_CUT
-    assert support(2.0).shape is SupportShape.TWO_CUT
+    assert support(-2.0).regime is Regime.ATTRACTIVE
+    assert support(-2.0).pieces == ((-support(-2.0).beta, support(-2.0).beta),)
+    assert support(2.0).regime is Regime.REPULSIVE
     lo_piece, hi_piece = support(2.0).pieces
     assert lo_piece[1] == -hi_piece[0]
 
 
 def test_support_validation():
     with pytest.raises(DomainError):
-        Support(shape=SupportShape.ONE_CUT, beta=1.5, kc=0.0)
+        Support(regime=Regime.ATTRACTIVE, beta=1.5, kc=0.0)
     with pytest.raises(DomainError):
-        Support(shape=SupportShape.TWO_CUT, beta=0.0, kc=1.0)
+        Support(regime=Regime.REPULSIVE, beta=0.0, kc=1.0)
     # kc is the complementary modulus of beta, 0 on the full interval only
     for beta, kc in ((0.6, 0.7), (0.6, -0.8), (0.6, 1.5), (1.0, 0.0)):
         with pytest.raises(DomainError):
-            Support(shape=SupportShape.ONE_CUT, beta=beta, kc=kc)
+            Support(regime=Regime.ATTRACTIVE, beta=beta, kc=kc)
     with pytest.raises(DomainError):
-        Support(shape=SupportShape.FULL_INTERVAL, beta=1.0, kc=1e-9)
-    sup = Support(shape=SupportShape.TWO_CUT, beta=0.6, kc=0.8)
+        Support(regime=Regime.INTERMEDIATE, beta=1.0, kc=1e-9)
+    sup = Support(regime=Regime.REPULSIVE, beta=0.6, kc=0.8)
     assert sup.half_length == pytest.approx(0.2, rel=1e-15)
 
 
@@ -237,6 +237,43 @@ def test_sqrt_cut_boundary_value():
     assert abs(val - 1j * math.sqrt(a * a - x * x)) <= 1e-10
 
 
+def _joukowski_points():
+    rng = np.random.default_rng(20)
+    plane = rng.uniform(-3.0, 3.0, 2000) + 1j * rng.uniform(-3.0, 3.0, 2000)
+    real = np.array([1.0 + 1e-12, 1.5, 3.0, 1e3, -1.0 - 1e-12, -1.5, -3.0, -1e3])
+    far = np.array([1e10 + 1j, 1e300])
+    return plane, np.concatenate((real + 0j, np.conj(real + 0j))), far
+
+
+def test_phi_joukowski_inverts_the_joukowski_map():
+    # (w + 1/w)/2 = z, and C \ [-1, 1] goes to the outside of the unit disk
+    plane, real, far = _joukowski_points()
+    edge = np.linspace(-1.0, 1.0, 21)
+    hair = np.concatenate((edge + 1e-300j, edge - 1e-300j))
+    for z in (plane, real, far, hair):
+        w = phi_joukowski(z)
+        assert np.all(np.abs(0.5 * (w + 1.0 / w) - z) <= 1e-15 * np.maximum(1.0, np.abs(z)))
+    for z in (plane, real, far):
+        assert np.all(np.abs(phi_joukowski(z)) > 1.0)
+    # a hair off the cut |w| is 1 to rounding, on the side of z
+    w = phi_joukowski(hair)
+    assert np.all(np.abs(np.abs(w) - 1.0) <= 2.3e-16)
+    assert np.all(np.sign(w.imag[1:20]) == 1.0) and np.all(np.sign(w.imag[22:41]) == -1.0)
+
+
+def test_phi_joukowski_maps_conjugates_to_conjugates():
+    plane, real, far = _joukowski_points()
+    for z in (plane, real, far, np.array([0.5 + 1e-300j, -0.3 + 1e-300j])):
+        assert np.all(phi_joukowski(np.conj(z)) == np.conj(phi_joukowski(z)))
+
+
+def test_phi_joukowski_on_the_cut_has_modulus_one():
+    for z in (complex(0.5, 0.0), complex(0.5, -0.0)):
+        w = phi_joukowski(z)
+        assert abs(abs(w) - 1.0) <= 2.3e-16
+        assert math.copysign(1.0, w.imag) == math.copysign(1.0, z.imag)
+
+
 # ---------------------------------------------------------------------------
 # density
 # ---------------------------------------------------------------------------
@@ -360,6 +397,36 @@ def test_density_edges_at_the_kc2_root(tau, beta, x, ref, ref_offset):
     assert abs(density(tau, -x) - ref) <= 1e-14 * ref
     edge, off = (1.0, 1.0 - x) if x > 0.5 * (1.0 + beta) else (beta, x - beta)
     assert abs(_density_offset(tau, edge, off) - ref_offset) <= 1e-14 * ref_offset
+
+
+# oracle: mpmath (dps 40) of (1 + tau)/(pi sqrt(1 - x^2)) - tau/2 at the
+# double x = 1 - 1e-9 and 1 - 1e-6 (intermediate), and of
+# (-tau/pi) atan(sqrt(beta^2 - x^2)/kc) at the double beta and kc of
+# support(tau) and x = beta (1 - f), f = 1e-12 and 1e-9 (attractive).  As
+# differences of squares, 1 - x^2 and beta^2 - x^2 lost up to 2.5e-10 and
+# 2.1e-5 relative at these points.
+DENSITY_NEAR_EDGE_REFS = [
+    (0.0, 0.999999999, 7117.6255366012765),
+    (0.0, 0.999999, 225.07913530583124),
+    (0.5, 0.999999999, 10676.188304901914),
+    (0.5, 0.999999, 337.36870295874684),
+    (-0.5, 0.999999999, 3559.0627683006383),
+    (-0.5, 0.999999, 112.78956765291562),
+    (-1.5, 0.9428090415811206, 1.909851569670642e-06),
+    (-1.5, 0.9428090406392543, 6.0395054555506577e-05),
+    (-2.0, 0.8660254037835726, 1.5593472853841035e-06),
+    (-2.0, 0.8660254029184132, 4.931235423953688e-05),
+    (-10.0, 0.43588989435363146, 2.180174614353414e-06),
+    (-10.0, 0.43588989391817745, 6.894446545124114e-05),
+    (-1000.0, 0.04471017781217161, 2.014614821335243e-05),
+    (-1000.0, 0.04471017776750614, 0.0006370977106671633),
+]
+
+
+@pytest.mark.parametrize("tau,x,ref", DENSITY_NEAR_EDGE_REFS)
+def test_density_near_the_edges_of_one_piece(tau, x, ref):
+    assert abs(density(tau, x) - ref) <= 1e-15 * ref
+    assert abs(density(tau, -x) - ref) <= 1e-15 * ref
 
 
 def test_density_scalar_and_array_agree():
@@ -566,8 +633,9 @@ def test_cauchy_repulsive_gap_continuity():
         assert abs(gap_val - limit_val) <= 1e-7
 
 
-# oracle: mpmath.quad (dps 40) of (tau/2) ratio_root(z, beta) q(z)
-# - tau atanh(1/z), q(z) the gap-kernel integral in theta with breakpoints
+# oracle: mpmath.quad (dps 40) of (tau/2) rho q(z) - tau atanh(1/z),
+# rho = sqrt_cut(z, beta)/sqrt_cut(z, 1), q(z) the gap-kernel integral in
+# theta with breakpoints
 # halving toward theta = +-pi/2 (and toward asin(Re z/beta) for points
 # over the gap), at the double beta of the E(beta) root (frozen at that
 # endpoint), with kc = sqrt(1 - beta^2).  At real
@@ -963,9 +1031,9 @@ def test_omega_and_report_just_above_the_repulsive_boundary():
 
 def test_omega_answers_by_the_theta_formula_at_every_tau():
     # one route pair on both sides of the old beta^2 = 0.9 band (tau ~ 9.55)
-    from logeq.equilibrium import _omega_repulsive
+    from logeq.equilibrium import _omega_theta
     for tau in (1.8, 9.0, 12.0, 80.0, 1e7):
-        assert [r[0] for r in _omega_repulsive(tau)] == ["theta", "integral"]
+        assert omega(tau) == _omega_theta(tau)
 
 
 def test_omega_above_the_beta_cap_raises_domain_error():

@@ -269,22 +269,27 @@ def test_verify_at_the_rounding_floor_in_the_series_band(tau):
 
 @pytest.mark.parametrize("tau", [9.0, 10.0, 12.0, 1e3])
 def test_verify_passes_on_narrow_two_cut_pieces(tau):
-    # the boundary-value offsets scale with the piece width 1 - beta
+    # the boundary value is read a hair off the cut, whatever the piece width
     rep = verify(tau)
     assert rep.passes
     assert rep.sp_error <= 1e-6
 
 
 def test_verify_sp_error_far_into_the_attractive_regime():
-    # a cut of half-width ~1.4e-4 whose density peaks near 4.5e3: the
-    # boundary-value offsets must shrink with the cut
+    # a cut of half-width ~1.4e-4 whose density peaks near 4.5e3
     assert verify(-1e8).sp_error <= 1e-4
 
 
 def test_verify_sp_error_on_the_narrowest_two_cut_pieces():
-    # pieces of width ~1e-8: the boundary-value offsets come within 1e-13
-    # of the cuts, and every point off a cut answers
+    # pieces of width ~1e-8: the boundary value 1e-300 off a cut answers
     assert verify(1e7).sp_error <= 1e-4
+
+
+def test_verify_sp_error_reads_the_boundary_value_at_tau_1e8():
+    # a density of size ~1.5e9, read 1e-300 off the cut.  verify(1e8)
+    # still fails on its omega spread (1.1e-8 against the absolute 1e-8
+    # bound).
+    assert verify(1e8).sp_error <= 1e-4
 
 
 def _assert_verify_reuses_the_omega_routes(monkeypatch, tau):
@@ -303,8 +308,7 @@ def _assert_verify_reuses_the_omega_routes(monkeypatch, tau):
     assert rep.passes
     assert series_calls == []
     assert integral_calls == [tau]
-    (name, value), (check_name, check) = _omega_repulsive(tau)
-    assert (name, check_name) == ("theta", "integral")
+    value, check = _omega_repulsive(tau)
     assert rep.cross_route_omega_spread == abs(value - check) <= 1e-8
 
 
@@ -359,7 +363,7 @@ def test_verify_makes_one_cauchy_call(monkeypatch):
     monkeypatch.setattr(oracle_mod, "cauchy",
                         lambda tau, z: sizes.append(np.size(z)) or real(tau, z))
     assert verify(2.0).passes
-    assert sizes == [60]  # 20 support points x 3 offsets
+    assert sizes == [20]  # one boundary value per support point
 
 
 def test_verify_batches_its_quadrature_points(monkeypatch):

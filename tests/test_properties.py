@@ -197,6 +197,6 @@ def test_omega_routes_agree_over_the_two_cut_range(tau):
     # 1.5e-15 is the largest spread measured over 3000 such tau; omega's
     # own gate is 1e-12 relative
     w = omega(tau)
-    (_, theta), (_, integral) = _omega_repulsive(tau)
+    theta, integral = _omega_repulsive(tau)
     assert w == theta
     assert abs(theta - integral) <= 1e-14 * max(1.0, abs(w))

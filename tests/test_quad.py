@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from logeq._quad import composite_nodes, geometric_breaks, gl_map
-from logeq.equilibrium import (TAU_CRITICAL, SupportShape, external_field, omega,
+from logeq.equilibrium import (TAU_CRITICAL, Regime, external_field, omega,
                                potential, support)
 from logeq.errors import DomainError
 from logeq.oracle import _product_log_rule, _support_grid, _unit_row, potential_quad
@@ -229,7 +229,7 @@ def test_potential_quad_batch_with_a_point_an_ulp_inside_an_edge(tau):
                          [np.nextafter(lo, hi)]])
     batch = potential_quad(tau, xs)
     assert np.all(np.abs(batch - [potential_quad(tau, x) for x in xs]) <= 1e-13)
-    if sup.shape is SupportShape.TWO_CUT:
+    if sup.regime is Regime.REPULSIVE:
         err = np.abs(batch + external_field(tau, xs) - omega(tau))
         assert np.max(err) <= 1e-12
     else:
