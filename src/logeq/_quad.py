@@ -14,12 +14,53 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import DomainError
+
 
 @lru_cache(maxsize=64)
 def gl_rule(order: int):
-    """Nodes and weights of the Gauss-Legendre rule on [-1, 1] (cached)."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    """Nodes and weights of the Gauss-Legendre rule on [-1, 1] (read-only,
+    cached).
+
+    The arithmetic of numpy's leggauss, so bitwise its rule: the eigenvalues
+    of the symmetric Jacobi matrix of P_order (Golub & Welsch, Math. Comp.
+    23, 1969), one Newton step, and weights 1/(P_(order-1) P_order') scaled
+    to sum to 2, both symmetrised.
+    """
+    if not isinstance(order, (int, np.integer)) or order < 1:
+        raise DomainError(f"a Gauss-Legendre rule needs an integer order >= 1, got {order!r}")
+    n = int(order)
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:-1] * scl[1:]
+    jacobi = np.zeros((n, n))
+    jacobi.flat[1::n + 1] = jacobi.flat[n::n + 1] = off
+    x = np.linalg.eigvalsh(jacobi)
+    # Legendre coefficients of P_n and of P_n' = sum (2k + 1) P_k over
+    # k = n - 1, n - 3, ..., the latter padded by a zero on top, which
+    # leaves its Clenshaw sum bitwise unchanged
+    c = np.zeros((n + 1, 2, 1))
+    c[n, 0] = 1.0
+    c[n - 1::-2, 1, 0] = 2 * np.arange(n - 1, -1, -2) + 1
+    p, dp = _legendre_sum(x, c)
+    x = x - p / dp
+    fm = _legendre_sum(x, c[1:, 0])           # P_(n-1)
+    fm /= np.abs(fm).max()
+    dp /= np.abs(dp).max()
+    w = 1 / (fm * dp)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+def _legendre_sum(x, c):
+    """sum_k c[k] P_k(x) by Clenshaw's recurrence, in the operation order of
+    numpy's legval; c[k] broadcasts against x."""
+    c0, c1 = (c[0], 0.0) if len(c) == 1 else (c[-2], c[-1])
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
 
 
 def gl_map(a: float, b: float, order: int):

@@ -168,7 +168,11 @@ def _product_log_rule():
     k = np.arange(1, _LOG_ORDER)
     moments = np.concatenate(([-1.0], (-1.0) ** (k + 1) / (k * (k + 1.0))))
     u, w = 0.5 * (x + 1.0), 0.5 * w
-    p = np.polynomial.legendre.legvander(x, _LOG_ORDER - 1).T
+    # P_k(x), k < _LOG_ORDER, by their three-term recurrence
+    p = np.empty((_LOG_ORDER, x.size))
+    p[0], p[1] = 1.0, x
+    for i in range(2, _LOG_ORDER):
+        p[i] = (p[i - 1] * x * (2 * i - 1) - p[i - 2] * (i - 1)) / i
     scaled = (2.0 * np.arange(_LOG_ORDER) + 1.0)[:, None] * p
     v = w * np.sum(moments[:, None] * scaled, axis=0)
     residual = moments - np.sum(v * p, axis=1)

@@ -6,11 +6,14 @@ agree with the same points taken one at a time.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from logeq._quad import composite_nodes, geometric_breaks, gl_map
+from logeq._quad import composite_nodes, geometric_breaks, gl_map, gl_rule
 from logeq.equilibrium import (TAU_CRITICAL, Regime, external_field, omega,
                                potential, support)
 from logeq.errors import DomainError
@@ -56,6 +59,68 @@ def test_geometric_breaks_rows_equal_scalar_calls():
     assert np.all(rows[2, :5] == 0.0)
     _, w = composite_nodes(rows[2], 16)
     assert np.all(w[:4 * 16] == 0.0)
+
+
+def test_gl_rule_matches_numpy_leggauss():
+    # The same arithmetic as numpy's leggauss: on numpy 2.4 bit for bit.  The
+    # bounds leave room for the operation orders other numpy versions use
+    # (1.1e-16 in the nodes, 4.8e-10 relative in the weights).
+    from numpy.polynomial.legendre import leggauss
+    for n in range(1, 301):
+        x, w = gl_rule(n)
+        x_ref, w_ref = leggauss(n)
+        assert x.shape == w.shape == (n,)
+        assert np.max(np.abs(x - x_ref)) <= 2.3e-16, n
+        assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-9, n
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]), n
+        assert abs(math.fsum(w) - 2.0) <= 1e-15, n
+
+
+def test_gl_rule_of_order_one():
+    x, w = gl_rule(1)
+    assert x.tolist() == [0.0] and w.tolist() == [2.0]
+
+
+@pytest.mark.parametrize("order", [0, -3, 2.5, 16.0, "16", None])
+def test_gl_rule_rejects_orders_that_are_not_positive_integers(order):
+    with pytest.raises(DomainError):
+        gl_rule(order)
+
+
+def test_gl_rule_arrays_are_read_only():
+    # the cached rule is shared by every later panel of its order
+    x, w = gl_rule(16)
+    with pytest.raises(ValueError):
+        w *= 2.0
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+
+
+_NO_POLYNOMIAL = """
+import contextlib, io, sys
+import logeq
+from logeq import cli
+for tau in (-3.0, 0.4, 3.5):
+    logeq.verify(tau)
+logeq.report(5.0)
+logeq.c_quadrature(0.5, 300)
+logeq.pv_integral("full", 0.5, 0.1)
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["beta", "--tau", "3"], ["omega", "--tau", "5", "--method", "series"],
+                 ["density", "--tau", "3", "--n", "201"],
+                 ["potential", "--tau", "3", "--x", "0.9"]):
+        assert cli.main(argv) == 0, argv
+assert "numpy.polynomial" not in sys.modules
+"""
+
+
+def test_no_route_imports_numpy_polynomial():
+    # The rules are built without numpy.polynomial, whose import alone cost
+    # 2-4 ms on the first quadrature call of every process.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", _NO_POLYNOMIAL],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 @pytest.mark.parametrize("k", [0.4, 0.9995])
