@@ -63,7 +63,10 @@ class VerificationReport:
     All residuals are nonnegative when their computation succeeds;
     inequality_margin is signed (negative means the variational inequality
     is violated).  A component that fails to evaluate is reported as an
-    infinity of the failing sign rather than raising.
+    infinity of the failing sign rather than raising.  Flatness, the
+    inequality and the one-piece spread come from one quadrature call on
+    the x > 0 half of the problem (U, V and the quadrature are even to
+    within 2 ulps), so one failure there reads as an infinity in each.
     """
 
     tau: float
@@ -204,15 +207,19 @@ def measure_quadrature(tau: float, f=None) -> complex | float:
     the result is the total mass).  Each support piece is split at its
     midpoint into two edge rules (_unit_row), in every regime, with 64 nodes
     per panel: the outer panel spans 3/4 of a half-piece, and f may vary
-    there (1/(z - x) at 0.05 from the cut is good to ~1e-14).
+    there (1/(z - x) at 0.05 from the cut is good to ~1e-14).  The density
+    depends on an edge only through |edge| (the measure is even): it is
+    taken once per |edge|, f at every node.
     """
     if f is None:
         f = lambda x: np.ones_like(x)
     sup, (off, w) = support(tau), _unit_row(0, 64)
     total, x_off, x_w = 0.0, sup.half_length * off, sup.half_length * w
+    moduli = {abs(edge) for piece in sup.pieces for edge in piece}
+    rho = {a: _density_offset(tau, a, x_off) for a in moduli}
     for lo, hi in sup.pieces:
         for edge, s in ((lo, 1.0), (hi, -1.0)):
-            total += np.sum(x_w * f(edge + s * x_off) * _density_offset(tau, edge, x_off))
+            total += np.sum(x_w * f(edge + s * x_off) * rho[abs(edge)])
     total = complex(total)
     return total if total.imag != 0.0 else total.real
 
@@ -311,8 +318,10 @@ def _log_kernel_sums(tau: float, sup: Support, z: np.ndarray) -> np.ndarray:
     takes the row of its rung for the nearer edge.  A point off the piece
     near an edge trades the innermost edge panel (_edge_panel_sums).  The
     density depends on an edge only through |edge| (the measure is even):
-    one call per |edge| serves rows and spans.  No point's sum depends on
-    the other points of z."""
+    one call per |edge| serves rows and spans.  A point's sum moves with
+    the other points of its block by an ulp or two: rows graded toward a
+    point are padded to the deepest of the block, which changes the order
+    of their sums."""
     if z.size > _BLOCK:
         return np.concatenate([_log_kernel_sums(tau, sup, z[i:i + _BLOCK])
                                for i in range(0, z.size, _BLOCK)])
@@ -571,16 +580,19 @@ def _support_grid(sup: Support, n_total: int, inset_frac: float) -> np.ndarray:
     return np.concatenate(pts)
 
 
-def _gap_grid(tau: float, sup: Support, n_total: int) -> np.ndarray:
-    """Off-support probe points, inset from soft edges where the margin
-    vanishes with a 3/2 power (the inset keeps it above quadrature noise)."""
+def _gap_grid(sup: Support, n: int) -> np.ndarray:
+    """n off-support probe points at x > 0, the right half of a grid
+    symmetric to within an ulp (none on the full interval), inset from soft
+    edges where the margin vanishes with a 3/2 power (the inset keeps it
+    above quadrature noise)."""
     beta = sup.beta
+    if sup.regime is Regime.INTERMEDIATE:
+        return np.empty(0)
     if sup.regime is Regime.ATTRACTIVE:
         ins = 1e-3 * sup.kc ** 2 / (1.0 + beta)  # 1e-3 (1 - beta)
-        right = np.linspace(beta + ins, 1.0, n_total // 2)
-        return np.concatenate([-right[::-1], right])
+        return np.linspace(beta + ins, 1.0, n)
     ins = 1e-3 * (2.0 * beta)
-    return np.linspace(-beta + ins, beta - ins, n_total)
+    return np.linspace(-beta + ins, beta - ins, 2 * n)[n:]
 
 
 def verify(tau: float) -> VerificationReport:
@@ -591,8 +603,20 @@ def verify(tau: float) -> VerificationReport:
     the spread between omega's two routes).  In the repulsive regime that
     spread is the one omega gated, read from its cache: the theta formula
     against `omega_integral`, at every tau.
+
+    Flatness and the variational inequality are sampled at x > 0 only: the
+    field and the measure are even, and `potential_quad` is even to within
+    2 ulps, so a point's mirror image adds nothing.  The 100 support points
+    (right half of the piece, or the right piece), the 100 gap points and
+    the spread point lo + 0.55 (hi - lo) of the one-piece regimes go into
+    one `potential_quad` call.  The 20 Sokhotski-Plemelj points cover both
+    halves: `cauchy` is not even by construction.
+
     Components that raise are recorded as infinities; this function does
-    not throw.
+    not throw.  One failure of the shared quadrature reads as an infinity
+    in each field that needs it: flatness, the inequality (except on the
+    full interval, which has no gap and reports 0) and, on one piece, the
+    spread.
     """
     sup = support(tau)
 
@@ -601,24 +625,23 @@ def verify(tau: float) -> VerificationReport:
     except Exception:
         mass_error = math.inf
 
+    on = _support_grid(sup, 200, 1e-3)[100:]  # the right half of one piece, or the right piece
+    gap = _gap_grid(sup, 100)
+    lo, hi = sup.pieces[0]
+    spread_at = [] if sup.regime is Regime.REPULSIVE else [lo + 0.55 * (hi - lo)]
+    flatness_error, cross = math.inf, math.inf
+    inequality_margin = -math.inf if gap.size else 0.0  # the full interval has no gap
     try:
-        w = omega(tau)
-        xs = _support_grid(sup, 200, 1e-3)
-        field = external_field(tau, xs)
-        flatness_error = np.max(np.abs(potential_quad(tau, xs) + field - w))
+        xs = np.concatenate((on, gap, spread_at))
+        residual = potential_quad(tau, xs) + external_field(tau, xs) - omega(tau)
+        on_res, gap_res, spread_res = np.split(residual, [on.size, on.size + gap.size])
+        flatness_error = np.max(np.abs(on_res))
+        if gap.size:
+            inequality_margin = np.min(gap_res)
+        if spread_res.size:
+            cross = abs(spread_res[0])
     except Exception:
-        flatness_error = math.inf
-
-    try:
-        if sup.regime is Regime.INTERMEDIATE:
-            inequality_margin = 0.0
-        else:
-            w = omega(tau)
-            xs = _gap_grid(tau, sup, 200)
-            field = external_field(tau, xs)
-            inequality_margin = np.min(potential_quad(tau, xs) + field - w)
-    except Exception:
-        inequality_margin = -math.inf
+        pass  # each field that needs the quadrature keeps its infinity
 
     try:
         xs = _support_grid(sup, 20, 0.05)
@@ -626,16 +649,12 @@ def verify(tau: float) -> VerificationReport:
     except Exception:
         sp_error = math.inf
 
-    try:
-        if sup.regime is Regime.REPULSIVE:
+    if sup.regime is Regime.REPULSIVE:
+        try:
             value, check = _omega_repulsive(tau)
             cross = abs(value - check)
-        else:
-            lo, hi = sup.pieces[0]
-            x0 = lo + 0.55 * (hi - lo)
-            cross = abs(potential_quad(tau, x0) + external_field(tau, x0) - omega(tau))
-    except Exception:
-        cross = math.inf
+        except Exception:
+            cross = math.inf
 
     return VerificationReport(
         tau=float(tau), mass_error=float(mass_error),

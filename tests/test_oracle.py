@@ -15,6 +15,7 @@ import pytest
 
 from logeq.equilibrium import (
     TAU_CRITICAL,
+    Regime,
     cauchy,
     density,
     external_field,
@@ -28,6 +29,7 @@ from logeq.oracle import (
     DiscreteSolution,
     GridMeasure,
     VerificationReport,
+    _support_grid,
     discrete_minimize,
     measure_quadrature,
     potential_quad,
@@ -99,6 +101,19 @@ def test_known_moments():
     # every equilibrium measure here is even
     for tau in (-2.0, 1.0, 2.0):
         assert abs(float(measure_quadrature(tau, lambda x: x))) <= 1e-10
+
+
+@pytest.mark.parametrize("tau, calls", [(-2.0, 1), (0.5, 1), (3.0, 2)])
+def test_measure_quadrature_takes_the_density_once_per_edge_modulus(monkeypatch, tau, calls):
+    # the density depends on an edge only through |edge|: the two edges of
+    # one piece, or the mirror edges of two cuts, share their values
+    import logeq.oracle as oracle_mod
+    edges = []
+    real = oracle_mod._density_offset
+    monkeypatch.setattr(oracle_mod, "_density_offset",
+                        lambda tau, edge, off: edges.append(edge) or real(tau, edge, off))
+    assert abs(measure_quadrature(tau) - 1.0) <= 2.2e-16
+    assert len(edges) == calls
 
 
 @pytest.mark.parametrize("tau", [-5.0, -2.0, -1.0, 0.0, 1.0, 1.75, 2.0, 10.0])
@@ -367,13 +382,67 @@ def test_verify_makes_one_cauchy_call(monkeypatch):
 
 
 def test_verify_batches_its_quadrature_points(monkeypatch):
+    # one call on the x > 0 halves: 100 support points, 100 gap points off
+    # one piece or in the two-cut gap, and the spread point of one piece
     import logeq.oracle as oracle_mod
-    calls = []
     real = oracle_mod.potential_quad
-    monkeypatch.setattr(oracle_mod, "potential_quad",
-                        lambda tau, z: calls.append(np.size(z)) or real(tau, z))
-    assert verify(-2.0).passes
-    assert calls == [200, 200, 1]
+    for tau, sizes in ((-2.0, [201]), (0.5, [101]), (3.0, [200])):
+        calls = []
+        monkeypatch.setattr(oracle_mod, "potential_quad",
+                            lambda tau, z: calls.append(np.size(z)) or real(tau, z))
+        assert verify(tau).passes
+        assert calls == sizes, tau
+
+
+def _full_grids(sup):
+    """The 200-point support and gap grids, both halves, that verify once sampled."""
+    on = _support_grid(sup, 200, 1e-3)
+    if sup.regime is Regime.INTERMEDIATE:
+        return on, np.empty(0)
+    if sup.regime is Regime.ATTRACTIVE:
+        right = np.linspace(sup.beta + 1e-3 * sup.kc ** 2 / (1.0 + sup.beta), 1.0, 100)
+        return on, np.concatenate((-right[::-1], right))
+    ins = 1e-3 * (2.0 * sup.beta)
+    return on, np.linspace(-sup.beta + ins, sup.beta - ins, 200)
+
+
+@pytest.mark.parametrize("tau", [-300.0, -7.45, -1.53, -0.6, 0.19, 2.15, 4.57, 10.3, 1e3, 1e6])
+def test_verify_samples_one_half_of_a_symmetric_problem(tau):
+    # potential_quad is even to 2 ulps (bitwise on one piece), so the x > 0
+    # halves that verify samples give the residuals of the full grids
+    sup, w = support(tau), omega(tau)
+    on, gap = _full_grids(sup)
+    xs = np.concatenate((on, gap))
+    u = potential_quad(tau, xs)
+    mirrored = potential_quad(tau, -xs)
+    if tau <= TAU_CRITICAL:
+        assert np.array_equal(mirrored, u)
+    assert np.all(np.abs(mirrored - u) <= 2.0 * np.spacing(np.abs(u)))
+    residual = u + external_field(tau, xs) - w
+    rep = verify(tau)
+    ulp = np.spacing(abs(w))
+    assert abs(rep.flatness_error - np.max(np.abs(residual[:on.size]))) <= 4.0 * ulp
+    margin = np.min(residual[on.size:]) if gap.size else 0.0
+    assert abs(rep.inequality_margin - margin) <= 4.0 * ulp
+    assert rep.passes
+
+
+@pytest.mark.parametrize("tau", [-2.0, 0.5, 3.0])
+def test_verify_reads_a_failed_quadrature_as_infinities(monkeypatch, tau):
+    import logeq.oracle as oracle_mod
+
+    def failing(tau, z):
+        raise DomainError("quadrature failed")
+
+    monkeypatch.setattr(oracle_mod, "potential_quad", failing)
+    rep, regime = verify(tau), support(tau).regime
+    assert not rep.passes
+    assert rep.flatness_error == math.inf
+    # the full interval has no gap to check
+    assert rep.inequality_margin == (0.0 if regime is Regime.INTERMEDIATE else -math.inf)
+    # two cuts read the spread of omega's two routes
+    assert (rep.cross_route_omega_spread == math.inf) == (regime is not Regime.REPULSIVE)
+    assert math.isfinite(rep.mass_error) and math.isfinite(rep.sp_error)
 
 
 def test_two_cut_quadrature_builds_one_I_table_per_tau(monkeypatch):
