@@ -5,7 +5,8 @@ layouts, so repeated runs are bit-identical.  Endpoint square-root behavior
 is always removed by substitution *before* panelling; what panelling is for
 is the milder leftovers (logarithmic points, steep but analytic layers),
 handled by panels halving toward the offending point, which every caller
-first maps to 0.
+first maps to 0.  The rules themselves are not computed: they are read from
+the frozen table of `_gl_table`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._gl_table import RULES
 from .errors import DomainError
 
 
@@ -22,45 +24,18 @@ def gl_rule(order: int):
     """Nodes and weights of the Gauss-Legendre rule on [-1, 1] (read-only,
     cached).
 
-    The arithmetic of numpy's leggauss, so bitwise its rule: the eigenvalues
-    of the symmetric Jacobi matrix of P_order (Golub & Welsch, Math. Comp.
-    23, 1969), one Newton step, and weights 1/(P_(order-1) P_order') scaled
-    to sum to 2, both symmetrised.
+    Read from the frozen table of `_gl_table`: every node and weight is the
+    double nearest to its 40-digit value.  The table holds the positive half
+    of each rule, so the rule is even bit for bit.  Only the tabulated orders
+    exist; any other order is a DomainError.
     """
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise DomainError(f"a Gauss-Legendre rule needs an integer order >= 1, got {order!r}")
-    n = int(order)
-    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    off = np.arange(1, n) * scl[:-1] * scl[1:]
-    jacobi = np.zeros((n, n))
-    jacobi.flat[1::n + 1] = jacobi.flat[n::n + 1] = off
-    x = np.linalg.eigvalsh(jacobi)
-    # Legendre coefficients of P_n and of P_n' = sum (2k + 1) P_k over
-    # k = n - 1, n - 3, ..., the latter padded by a zero on top, which
-    # leaves its Clenshaw sum bitwise unchanged
-    c = np.zeros((n + 1, 2, 1))
-    c[n, 0] = 1.0
-    c[n - 1::-2, 1, 0] = 2 * np.arange(n - 1, -1, -2) + 1
-    p, dp = _legendre_sum(x, c)
-    x = x - p / dp
-    fm = _legendre_sum(x, c[1:, 0])           # P_(n-1)
-    fm /= np.abs(fm).max()
-    dp /= np.abs(dp).max()
-    w = 1 / (fm * dp)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
+    if not isinstance(order, (int, np.integer)) or int(order) not in RULES:
+        raise DomainError(f"Gauss-Legendre rules are tabulated for orders "
+                          f"{sorted(RULES)}, got {order!r}")
+    x, w = (np.array(text.split(), float) for text in RULES[int(order)])
+    x, w = np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
     x.flags.writeable = w.flags.writeable = False
     return x, w
-
-
-def _legendre_sum(x, c):
-    """sum_k c[k] P_k(x) by Clenshaw's recurrence, in the operation order of
-    numpy's legval; c[k] broadcasts against x."""
-    c0, c1 = (c[0], 0.0) if len(c) == 1 else (c[-2], c[-1])
-    for nd in range(len(c) - 1, 1, -1):
-        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
-    return c0 + c1 * x
 
 
 def gl_map(a: float, b: float, order: int):

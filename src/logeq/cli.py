@@ -23,6 +23,7 @@ invalid for the regime, and so on).
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -186,6 +187,9 @@ def _cmd_figure(args, parser) -> int:
     return 0
 
 
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="logeq",
@@ -252,6 +256,11 @@ def _build_parser() -> argparse.ArgumentParser:
     # usage errors found after parsing are reported by the subcommand's parser
     for p in sub.choices.values():
         p.set_defaults(parser=p)
+    # argparse takes an argument for a value, not an option, when it looks
+    # like a negative number; its own test knows only "-123" and "-1.5", so
+    # "--tau -1e8" would read "-1e8" as an option
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

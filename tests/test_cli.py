@@ -98,6 +98,24 @@ def test_potential_x_shorthand_is_byte_identical():
     assert out1 == out2
 
 
+def test_negative_tau_with_an_exponent_is_a_number():
+    # "-1e8" after a space is the value of --tau, not an unknown option
+    rc, out, _ = run_cli("verify", "--tau", "-1e8")
+    rc_eq, out_eq, _ = run_cli("verify", "--tau=-1e8")
+    assert rc == rc_eq == 0
+    assert out == out_eq
+    payload = parse_json(out)
+    assert payload["tau"] == -1e8 and payload["pass"] is True
+
+
+def test_negative_re_with_an_exponent_is_a_number():
+    rc, out, _ = run_cli("potential", "--tau", "3", "--re", "-1e-3")
+    rc_x, out_x, _ = run_cli("potential", "--tau", "3", "--x", "-0.001")
+    assert rc == rc_x == 0
+    assert out == out_x
+    assert parse_json(out)["re"] == -1e-3
+
+
 def test_omega_methods():
     rc, out, _ = run_cli("omega", "--tau", "0")
     assert rc == 0

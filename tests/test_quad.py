@@ -5,6 +5,7 @@ one-interval helpers give, and potential_quad over an array of points must
 agree with the same points taken one at a time.
 """
 
+import importlib.util
 import math
 import os
 import subprocess
@@ -20,13 +21,15 @@ from logeq.errors import DomainError
 from logeq.oracle import _product_log_rule, _support_grid, _unit_row, potential_quad
 from logeq.specfun import integral_I, theta_rule
 
+TABULATED = (16, 24, 64, 128, 256)
+
 
 def _gl_map_stack(breaks, order):
     pairs = [gl_map(lo, hi, order) for lo, hi in zip(breaks[:-1], breaks[1:])]
     return np.concatenate([p[0] for p in pairs]), np.concatenate([p[1] for p in pairs])
 
 
-@pytest.mark.parametrize("order", [16, 32])
+@pytest.mark.parametrize("order", [16, 64])
 def test_composite_nodes_equal_gl_map_stack(order):
     breaks = geometric_breaks(0.7123, 25)
     x, w = composite_nodes(breaks, order)
@@ -62,11 +65,11 @@ def test_geometric_breaks_rows_equal_scalar_calls():
 
 
 def test_gl_rule_matches_numpy_leggauss():
-    # The same arithmetic as numpy's leggauss: on numpy 2.4 bit for bit.  The
-    # bounds leave room for the operation orders other numpy versions use
-    # (1.1e-16 in the nodes, 4.8e-10 relative in the weights).
+    # numpy's leggauss gives the nodes to within an ulp, but its weights are
+    # off by up to 2.1e-11 relative at n = 256 (ulp-sized node errors, seen
+    # through a weight formula steep at the outermost nodes).
     from numpy.polynomial.legendre import leggauss
-    for n in range(1, 301):
+    for n in TABULATED:
         x, w = gl_rule(n)
         x_ref, w_ref = leggauss(n)
         assert x.shape == w.shape == (n,)
@@ -76,9 +79,65 @@ def test_gl_rule_matches_numpy_leggauss():
         assert abs(math.fsum(w) - 2.0) <= 1e-15, n
 
 
-def test_gl_rule_of_order_one():
-    x, w = gl_rule(1)
-    assert x.tolist() == [0.0] and w.tolist() == [2.0]
+def test_gl_rule_is_the_generated_table():
+    # The committed table is the generator's output, bit for bit; the
+    # generator rounds each 40-digit node and weight once, to the nearest
+    # double.
+    here = os.path.dirname(os.path.abspath(__file__))
+    spec = importlib.util.spec_from_file_location(
+        "gauss_legendre_table", os.path.join(here, "gauss_legendre_table.py"))
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    assert gen.ORDERS == TABULATED
+    rules = {n: gen.half_rule(n) for n in TABULATED}
+    for n, (nodes, weights) in rules.items():
+        x, w = gl_rule(n)
+        assert x[n // 2:].tolist() == nodes and w[n // 2:].tolist() == weights, n
+    table = os.path.join(os.path.dirname(here), "src", "logeq", "_gl_table.py")
+    with open(table, encoding="utf-8") as handle:
+        assert handle.read() == gen.render(rules)
+
+
+# The outermost node and weight of each order, 40 digits (mpmath's legendre
+# at 60 digits, Newton from cos(3 pi/(4n + 2))).
+OUTERMOST = {
+    16: ("0.9894009349916499325961541734503326274263", "0.02715245941175409485178057245601810351227"),
+    24: ("0.9951872199970213601799974097007368118746", "0.01234122979998719954680566707003729157591"),
+    64: ("0.9993050417357721394569056243456363119697", "0.001783280721696432947296079144971933179959"),
+    128: ("0.9998248879471319144736080829818741716017", "0.0004493809602920903763942922399887226543195"),
+    256: ("0.9999560500189922307348012101684159360759", "0.0001127890178222721755125388772498376055902"),
+}
+
+
+@pytest.mark.parametrize("order", TABULATED)
+def test_gl_rule_outermost_node_and_weight_are_correctly_rounded(order):
+    # the weight formula is steepest here: an ulp in the node moves the
+    # weight by ~ulp/(1 - x), which leggauss's arithmetic left in its weights
+    from mpmath import mpf, workdps
+    x, w = gl_rule(order)
+    with workdps(40):
+        node, weight = (float(mpf(text)) for text in OUTERMOST[order])
+    assert x[-1] == node and w[-1] == weight
+
+
+def test_gl_rule_does_no_linear_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("gl_rule reached numpy.linalg")
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    gl_rule.cache_clear()
+    try:
+        for n in TABULATED:
+            x, w = gl_rule(n)
+            assert x.shape == w.shape == (n,)
+    finally:
+        gl_rule.cache_clear()
+
+
+def test_gl_rule_rejects_orders_that_are_not_tabulated():
+    for order in (1, 2, 15, 17, 32, 160, 300, np.int64(100)):
+        with pytest.raises(DomainError, match="tabulated"):
+            gl_rule(order)
 
 
 @pytest.mark.parametrize("order", [0, -3, 2.5, 16.0, "16", None])
@@ -115,8 +174,8 @@ assert "numpy.polynomial" not in sys.modules
 
 
 def test_no_route_imports_numpy_polynomial():
-    # The rules are built without numpy.polynomial, whose import alone cost
-    # 2-4 ms on the first quadrature call of every process.
+    # numpy.polynomial's import alone cost 2-4 ms on the first quadrature
+    # call of every process.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", _NO_POLYNOMIAL],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True)
