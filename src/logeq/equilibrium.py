@@ -320,7 +320,9 @@ def density(tau: float, x):
     (tau/pi) |x| sqrt(x^2 - beta^2)/a I(a, beta) with a = sqrt(1 - x^2).
     There I comes from the cached per-beta Chebyshev interpolant
     `integral_I_cheb` (24 quadratures per beta, then a short recurrence per
-    point); the result is good to ~1e-14 relative up to both edges.
+    point); the result is good to ~1e-14 relative up to both edges.  Past
+    the midpoint of a piece x^2 - beta^2 comes from the offset to the outer
+    edge (_beyond_beta), within ~3e-16 of the density at the true beta.
     """
     sup = support(tau)
     beta, kc = sup.beta, sup.kc
@@ -346,9 +348,17 @@ def density(tau: float, x):
         # complementary arctangent: no cancellation at the soft edges.
         vals = (-tau / math.pi) * np.arctan(np.sqrt((beta - absx) * (beta + absx) / kc ** 2))
     else:
-        vals = _repulsive_density(tau, sup, absx, (absx - beta) * (absx + beta),
+        vals = _repulsive_density(tau, sup, absx, _beyond_beta(sup, absx) * (absx + beta),
                                   (1.0 - absx) * (1.0 + absx))
     return _descalar(vals.reshape(shape))
+
+
+def _beyond_beta(sup: Support, x):
+    """x - beta for an array of real x, on two cuts.  Past the midpoint of
+    the piece [beta, 1] it is w - (1 - x), w the width of the piece, as
+    _density_offset(tau, 1.0, 1 - x) forms it: the double beta misses the
+    inner edge by up to half an ulp, while 1 - x is exact."""
+    return np.where(x > 0.5 * (1.0 + sup.beta), 2.0 * sup.half_length - (1.0 - x), x - sup.beta)
 
 
 def _density_offset(tau: float, edge: float, off):
@@ -440,7 +450,12 @@ def _cauchy_repulsive(tau: float, sup: Support, z):
     # [-beta, beta].  Both factors of rho jump across the gap, so rho is
     # analytic there.
     beta, kc = sup.beta, sup.kc
-    rho = _sqrt_cut_arr(z, beta) / _sqrt_cut_arr(z, 1.0)
+    # z -+ beta as `density` forms them, from the outer edge past the
+    # midpoint of a piece (the order of the factors: see _sqrt_cut_arr)
+    minus, plus = _shift(z, -beta), _shift(z, beta)
+    if np.any(np.abs(z.real) > 0.5 * (1.0 + beta)):
+        minus.real, plus.real = _beyond_beta(sup, z.real), -_beyond_beta(sup, -z.real)
+    rho = np.sqrt(minus) * np.sqrt(plus) / _sqrt_cut_arr(z, 1.0)
     out = np.empty(z.shape, complex)
     near = np.abs(z) < 2.0
     if near.any():

@@ -5,8 +5,9 @@ route it is checking: integrals are evaluated by singularity-aware
 quadrature of the density (product integration at the log singularity of
 the potential, good to ~1e-15 against the closed forms), principal values
 by analytic subtraction, and the equilibrium data (beta, omega) are
-rediscovered from the variational definition alone by a discrete energy
-minimizer over the probability simplex.
+rediscovered from the variational definition alone: the discrete energy
+is minimized over the probability simplex by one active-set loop of KKT
+solves.
 """
 
 from __future__ import annotations
@@ -420,63 +421,30 @@ def _interaction_matrix(nodes: np.ndarray) -> np.ndarray:
     return a
 
 
-def _corrective_solve(a, b, active, w, energy):
-    """Equality-constrained Newton step on the active set.
-
-    Solves the KKT system for min w'Aw + 2b'w s.t. sum w = 1 restricted to
-    the active nodes, dropping any that go negative; returns an improved
-    (w, energy) or None if the solve is infeasible or not an improvement.
-    """
-    active = np.flatnonzero(active)
-    while len(active) >= 2:
-        m = len(active)
-        kkt = np.empty((m + 1, m + 1))
-        kkt[:m, :m] = 2.0 * a[np.ix_(active, active)]
-        kkt[:m, m] = 1.0
-        kkt[m, :m] = 1.0
-        kkt[m, m] = 0.0
-        rhs = np.empty(m + 1)
-        rhs[:m] = -2.0 * b[active]
-        rhs[m] = 1.0
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        w_s = sol[:m]
-        if np.all(w_s >= -1e-15):
-            w_new = np.zeros_like(w)
-            w_new[active] = np.clip(w_s, 0.0, None)
-            w_new /= np.sum(w_new)
-            e_new = float(w_new @ (a @ w_new) + 2.0 * (b @ w_new))
-            if e_new <= energy + 1e-12:
-                return w_new, e_new
-            return None
-        keep = w_s > -1e-15
-        if np.all(keep):
-            return None
-        active = active[keep]
-    return None
-
-
 def discrete_minimize(tau: float, n_nodes: int, max_iters: int) -> DiscreteSolution:
     """Minimize the discrete weighted energy over the probability simplex.
 
     Nodes are Chebyshev-Lobatto points on [-1, 1].  The objective
     w'Aw + 2 b'w (A the regularized log interaction, b the external field
-    at the nodes) is minimized by pairwise Frank-Wolfe steps with exact
-    line search, with periodic fully-corrective KKT solves on the carrying
-    set.  Terminates when the Frank-Wolfe duality gap drops below 1e-6;
-    raises ConvergenceError if max_iters steps do not get there.
+    at the nodes) is a convex quadratic, minimized by an active-set loop
+    (Nocedal & Wright, Numerical Optimization, §16.5).  Every node starts
+    active; each step solves the KKT system of the objective under
+    sum w = 1 on the active nodes.  A solve with negative weights drops
+    those nodes.  A nonnegative one ends the loop once its Frank-Wolfe
+    duality gap, grad'w - min(grad), is at most 1e-6, and otherwise brings
+    back the nodes whose gradient lies below the carried mean.  max_iters
+    caps the solves (ConvergenceError past it), `iterations` counts them,
+    and `energy_trace` holds the energy of each nonnegative iterate.
 
     omega_est is the minimum of the discrete total potential over carrying
     nodes, matching the equality branch of the variational conditions, and
     beta_est is the carrying node closest to the support edge implied by
     the regime (outermost for one-cut, innermost gap edge for two-cut).
     """
-    if n_nodes < 100:
-        raise DomainError(f"n_nodes={n_nodes!r} too coarse; need at least 100")
-    if max_iters < 1:
-        raise DomainError("max_iters must be positive")
+    if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 100:
+        raise DomainError(f"n_nodes={n_nodes!r} must be an integer of at least 100")
+    if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
+        raise DomainError(f"max_iters={max_iters!r} must be a positive integer")
     regime = classify_regime(tau)
     j = np.arange(n_nodes, dtype=float)
     nodes = np.sort(np.cos(math.pi * j / (n_nodes - 1)))
@@ -484,78 +452,45 @@ def discrete_minimize(tau: float, n_nodes: int, max_iters: int) -> DiscreteSolut
     a = _interaction_matrix(nodes)
     b = external_field(tau, nodes)
 
-    w = np.full(n_nodes, 1.0 / n_nodes)
-    grad = 2.0 * (a @ w + b)
-    energy = float(w @ (a @ w) + 2.0 * (b @ w))
-    trace = [energy]
-    gap_tol = 1e-6
-    corrective_at = {200, 700, 1500, 2600, 4000}
-    gap = math.inf
-    iters_done = 0
-
-    for it in range(1, max_iters + 1):
-        iters_done = it
-        gap = float(grad @ w - np.min(grad))
+    # b less its minimum, a shift the multiplier of sum w = 1 takes up: with
+    # b itself the solves hold that constraint only to ~|tau| eps
+    rhs = -2.0 * (b - np.min(b))
+    active, trace, gap, gap_tol = np.ones(n_nodes, bool), [], math.inf, 1e-6
+    for iters in range(1, max_iters + 1):
+        idx = np.flatnonzero(active)
+        m = idx.size
+        kkt = np.ones((m + 1, m + 1))
+        kkt[:m, :m] = 2.0 * a[np.ix_(idx, idx)]
+        kkt[m, m] = 0.0
+        w_act = np.linalg.solve(kkt, np.append(rhs[idx], 1.0))[:m]
+        if np.any(w_act < 0.0):
+            active[idx[w_act < 0.0]] = False
+            continue
+        w = np.zeros(n_nodes)
+        w[idx] = w_act
+        pot = a @ w + b  # discrete total potential at the nodes: grad / 2
+        trace.append(float(w @ (pot + b)))
+        excess = pot - np.min(pot)
+        gap = 2.0 * float(w @ excess)  # grad'w - min(grad), as sum w = 1
         if gap <= gap_tol:
             break
-        if it % 250 == 0:
-            grad = 2.0 * (a @ w + b)
-            energy = float(w @ (a @ w) + 2.0 * (b @ w))
-        if it in corrective_at or (it == max_iters and gap > gap_tol):
-            improved = _corrective_solve(a, b, w > 1e-14, w, energy)
-            if improved is not None:
-                w, energy = improved
-                grad = 2.0 * (a @ w + b)
-                trace.append(energy)
-                gap = float(grad @ w - np.min(grad))
-                if gap <= gap_tol:
-                    break
-                continue
-        s = int(np.argmin(grad))
-        carrying = w > 0.0
-        masked = np.where(carrying, grad, -np.inf)
-        v = int(np.argmax(masked))
-        d_grad = grad[s] - grad[v]
-        if d_grad >= 0.0:
-            # s is already the worst direction among carriers: stationary
-            # up to the gap measure; let the gap check conclude.
-            trace.append(energy)
-            continue
-        q = a[s, s] + a[v, v] - 2.0 * a[s, v]
-        if q <= 0.0:
-            t = w[v]
-        else:
-            t = min(max(-d_grad / (2.0 * q), 0.0), w[v])
-        # exact energy decrement for the pairwise move t (e_s - e_v)
-        energy += t * d_grad + t * t * q
-        w[s] += t
-        w[v] -= t
-        if w[v] < 1e-17:
-            w[v] = 0.0
-        grad += 2.0 * t * (a[:, s] - a[:, v])
-        trace.append(energy)
-
-    if gap > gap_tol:
+        active |= excess < 0.5 * gap  # below the carried mean
+    else:
         raise ConvergenceError(
-            f"Frank-Wolfe gap {gap:.3e} still above {gap_tol:g} after "
-            f"{iters_done} iterations (tau={tau!r}, n={n_nodes})")
+            f"active-set gap {gap:.3e} still above {gap_tol:g} after "
+            f"{max_iters} KKT solves (tau={tau!r}, n={n_nodes})")
 
-    grad = 2.0 * (a @ w + b)
-    energy = float(w @ (a @ w) + 2.0 * (b @ w))
     carrying = w > 10.0 / n_nodes ** 2
-    pot = 0.5 * grad  # A w + b: discrete total potential at the nodes
     omega_est = float(np.min(pot[carrying]))
     carried = np.abs(nodes[carrying])
     if regime is Regime.REPULSIVE:
         beta_est = float(np.min(carried))
     else:
         beta_est = float(np.max(carried))
-    w = np.clip(w, 0.0, None)
-    w /= np.sum(w)
     return DiscreteSolution(
         measure=GridMeasure(nodes=nodes, weights=w),
-        omega_est=omega_est, beta_est=beta_est, energy=energy,
-        iterations=iters_done, energy_trace=tuple(trace))
+        omega_est=omega_est, beta_est=beta_est, energy=trace[-1],
+        iterations=iters, energy_trace=tuple(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -612,11 +547,12 @@ def verify(tau: float) -> VerificationReport:
     one `potential_quad` call.  The 20 Sokhotski-Plemelj points cover both
     halves: `cauchy` is not even by construction.
 
-    Components that raise are recorded as infinities; this function does
-    not throw.  One failure of the shared quadrature reads as an infinity
-    in each field that needs it: flatness, the inequality (except on the
-    full interval, which has no gap and reports 0) and, on one piece, the
-    spread.
+    Components that raise are recorded as infinities.  One failure of the
+    shared quadrature reads as an infinity in each field that needs it:
+    flatness, the inequality (except on the full interval, which has no
+    gap and reports 0) and, on one piece, the spread.  Only `support(tau)`
+    itself raises through: DomainError for a tau that is not finite, or
+    past ~1.8e15 where the two-cut beta rounds to 1.
     """
     sup = support(tau)
 

@@ -198,8 +198,8 @@ def omega_series(tau: float, tol: float) -> SeriesResult:
     """
     if classify_regime(tau) is not Regime.REPULSIVE:
         raise DomainError(f"omega_series requires tau > 2/(pi-2), got {tau!r}")
-    if tol < 1e-14:
-        raise DomainError(f"tol={tol!r} below the attainable floor 1e-14")
+    if not 1e-14 <= tol < math.inf:
+        raise DomainError(f"tol={tol!r} is not finite or below the attainable floor 1e-14")
     sup = support(tau)
     beta, kc = sup.beta, sup.kc
     b2 = beta * beta

@@ -117,8 +117,8 @@ def integral_I(a, k: float, kc: float):
     """
     a_arr = np.asarray(a)
     a_arr = a_arr.astype(np.result_type(a_arr, float), copy=False)
-    if np.any(a_arr.real < 0.0):
-        raise DomainError("integral_I requires Re a >= 0")
+    if np.any(a_arr.real < 0.0) or np.isnan(a_arr).any():
+        raise DomainError("integral_I requires Re a >= 0, and no NaN")
     if not (0.0 <= k < 1.0 and 0.0 < kc <= 1.0):
         raise DomainError(f"integral_I requires 0 <= k < 1 and 0 < kc <= 1, got {k!r}, {kc!r}")
     _, w, root = theta_rule(k, kc)

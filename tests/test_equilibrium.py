@@ -365,6 +365,8 @@ def test_density_edges_against_mpmath(monkeypatch, tau, beta, x, ref):
 # ref_offset).  ref_offset is the density at the offset from the nearer
 # edge of a piece of width 1 - beta = kc^2/(1 + beta), which the double
 # beta misses by up to half an ulp (4e-14 of the density at tau = 1e3).
+# Past the midpoint of the piece `density` measures from the outer edge,
+# and so reads ref_offset there.
 DENSITY_EDGE_K_REFS = [
     (2.0, 0.4172994302156375, 0.41729943079833803, 5.4351344972890514e-6, 5.4351344972890515e-6),
     (2.0, 0.4172994302156375, 0.41788213078542186, 0.0054470116987482758, 0.0054470116987482758),
@@ -393,10 +395,35 @@ DENSITY_EDGE_K_REFS = [
 def test_density_edges_at_the_kc2_root(tau, beta, x, ref, ref_offset):
     from logeq.equilibrium import _density_offset
     assert support(tau).beta == beta
-    assert abs(density(tau, x) - ref) <= 1e-14 * ref
-    assert abs(density(tau, -x) - ref) <= 1e-14 * ref
-    edge, off = (1.0, 1.0 - x) if x > 0.5 * (1.0 + beta) else (beta, x - beta)
+    outer = x > 0.5 * (1.0 + beta)
+    want = ref_offset if outer else ref
+    assert abs(density(tau, x) - want) <= 1e-14 * want
+    assert abs(density(tau, -x) - want) <= 1e-14 * want
+    edge, off = (1.0, 1.0 - x) if outer else (beta, x - beta)
     assert abs(_density_offset(tau, edge, off) - ref_offset) <= 1e-14 * ref_offset
+
+
+# oracle: mpmath (dps 50, checked at 60) of the two-cut density
+# (tau/pi) x sqrt(x^2 - beta^2)/sqrt(1 - x^2) I(sqrt(1 - x^2)), I as above,
+# at the true beta (E(beta) = 1 + 1/tau solved in kc^2) and the doubles
+# x = b + f (1 - b), b the double beta, f = 0.6 and 0.999: (tau, x, ref).
+# Measured from the double beta, the density is off by up to 2.5e-11
+# (1e5) and 7.8e-10 (1e7) here.
+DENSITY_OUTER_HALF_REFS = [
+    (1e5, 0.9999994512576973, 275463.6481962254411031611752367200807685),
+    (1e5, 0.9999999986281443, 7787768.930574851424994810456824032411127),
+    (1e7, 0.9999999958918407, 37087221.48525747740546201419387757561021),
+    (1e7, 0.9999999999897295, 1024994869.348069684423916812601736623108),
+]
+
+
+@pytest.mark.parametrize("tau,x,ref", DENSITY_OUTER_HALF_REFS)
+def test_density_past_the_midpoint_from_the_outer_edge(tau, x, ref):
+    assert abs(density(tau, x) - ref) <= 1e-15 * ref
+    assert abs(density(tau, -x) - ref) <= 1e-15 * ref
+    # the boundary value -Im C(x + i0)/pi forms z -+ beta the same way
+    boundary = -cauchy(tau, np.array([x, -x]) + 1e-300j).imag / math.pi
+    assert np.all(np.abs(boundary - ref) <= 1e-15 * ref)
 
 
 # oracle: mpmath (dps 40) of (1 + tau)/(pi sqrt(1 - x^2)) - tau/2 at the

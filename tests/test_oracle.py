@@ -242,16 +242,39 @@ def test_discrete_minimizer_rejects_bad_arguments():
         discrete_minimize(0.0, 50, 100)
     with pytest.raises(DomainError):
         discrete_minimize(0.0, 400, 0)
+    # non-integer sizes are typed errors, not numpy's TypeError
+    with pytest.raises(DomainError):
+        discrete_minimize(0.0, 400.5, 10)
+    with pytest.raises(DomainError):
+        discrete_minimize(0.0, 400, 10.5)
 
 
-def test_discrete_minimizer_reports_nonconvergence(monkeypatch):
-    # The fully-corrective pass solves these problems in one shot from any
-    # start, so the iteration cap alone cannot be hit honestly; disable the
-    # corrective step to check the guard actually fires.
-    import logeq.oracle as oracle_mod
-    monkeypatch.setattr(oracle_mod, "_corrective_solve", lambda *a: None)
+def test_discrete_minimizer_reports_nonconvergence():
+    # max_iters caps the KKT solves; at tau = 2 the first solve, on every
+    # node, has negative weights, so one solve leaves no feasible iterate
     with pytest.raises(ConvergenceError):
-        discrete_minimize(0.0, 400, 3)
+        discrete_minimize(2.0, 400, 1)
+
+
+def test_discrete_minimizer_potential_is_flat_on_the_carrying_nodes():
+    # the minimizer solves the KKT system on its carrying set, so the
+    # discrete total potential is flat there to rounding and the gap is far
+    # below its bound 1e-6 (a stop on that bound alone can leave 7e-7)
+    from logeq.oracle import _interaction_matrix
+    sol = discrete_minimize(2.0, 1000, 4000)
+    nodes, w = sol.measure.nodes, sol.measure.weights
+    pot = _interaction_matrix(nodes) @ w + external_field(2.0, nodes)
+    assert np.ptp(pot[w > 0.0]) <= 1e-12
+    assert abs(2.0 * (pot @ w - np.min(pot))) <= 1e-12
+
+
+@pytest.mark.parametrize("tau", [1e8, 1e12, -1e12, -1e300])
+def test_discrete_minimizer_at_large_field_strengths(tau):
+    # the solves take b less its minimum: with b itself they hold sum w = 1
+    # only to ~|tau| eps (5e-10 at tau = 1e8, past GridMeasure's 1e-12)
+    sol = discrete_minimize(tau, 100, 50)
+    assert abs(sol.omega_est - omega(tau)) <= 2e-4 * abs(tau)
+    assert sol.beta_est == 1.0 if tau > 0 else sol.beta_est < 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +466,20 @@ def test_verify_reads_a_failed_quadrature_as_infinities(monkeypatch, tau):
     # two cuts read the spread of omega's two routes
     assert (rep.cross_route_omega_spread == math.inf) == (regime is not Regime.REPULSIVE)
     assert math.isfinite(rep.mass_error) and math.isfinite(rep.sp_error)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_non_finite_tau_is_a_domain_error(tau):
+    for call in (support, omega, lambda t: density(t, 0.5), verify):
+        with pytest.raises(DomainError):
+            call(tau)
+
+
+def test_verify_raises_where_support_does():
+    # verify records its components' failures, but not the support's: past
+    # tau ~ 1.8e15 the two-cut beta rounds to 1
+    with pytest.raises(DomainError):
+        verify(2e15)
 
 
 def test_two_cut_quadrature_builds_one_I_table_per_tau(monkeypatch):

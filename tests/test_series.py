@@ -340,5 +340,9 @@ def test_omega_domain_errors():
         omega_series(1.0, 1e-10)
     with pytest.raises(DomainError):
         omega_series(2.0, 1e-15)
+    # a non-finite tol is typed too, not math.ceil's ValueError/OverflowError
+    for tol in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            omega_series(3.0, tol)
     with pytest.raises(DomainError):
         omega_integral(0.5)

@@ -129,6 +129,13 @@ def test_integral_I_rejects_negative_real_part():
             integral_I(a, 0.6, 0.8)
 
 
+def test_integral_I_rejects_nan():
+    # a NaN in either part of a is a typed error, not a NaN result
+    for a in (math.nan, complex(0.5, math.nan), np.array([0.5, math.nan])):
+        with pytest.raises(DomainError):
+            integral_I(a, 0.5, math.sqrt(0.75))
+
+
 def test_integral_I_limits():
     # a -> 0 turns the integrand into 1/sqrt(1 - k^2 sin^2 t), so the value
     # approaches K(k) from below.
