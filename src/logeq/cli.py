@@ -48,12 +48,11 @@ def _finite(text: str) -> float:
     return value
 
 
-def _write(text: str, out) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+def _rows(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError("--n must be >= 2")
+    return value
 
 
 def _point(args, parser) -> complex:
@@ -79,8 +78,6 @@ def _density_table(tau: float, n: int, grid: str):
     counts = (n,) if len(pieces) == 1 else (n // 2, n - n // 2)
     xs = []
     for (lo, hi), m in zip(pieces, counts):
-        if m == 0:
-            continue
         if grid == "chebyshev":
             j = np.arange(1, m + 1)
             x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(
@@ -99,44 +96,32 @@ def _csv(header: str, cols) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_regime(args, parser) -> int:
-    payload = {"tau": args.tau, "regime": classify_regime(args.tau).value}
-    _write(json.dumps(payload) + "\n", None)
-    return 0
+def _cmd_regime(args, parser) -> dict:
+    return {"tau": args.tau, "regime": classify_regime(args.tau).value}
 
 
-def _cmd_beta(args, parser) -> int:
+def _cmd_beta(args, parser) -> dict:
     sup = support(args.tau)
-    payload = {"tau": args.tau, "regime": sup.regime.value, "beta": sup.beta}
-    _write(json.dumps(payload) + "\n", None)
-    return 0
+    return {"tau": args.tau, "regime": sup.regime.value, "beta": sup.beta}
 
 
-def _cmd_cauchy(args, parser) -> int:
+def _cmd_cauchy(args, parser) -> dict:
     z = _point(args, parser)
     value = cauchy(args.tau, z)
-    payload = {"tau": args.tau, "re": z.real, "im": z.imag,
-               "cauchy_re": value.real, "cauchy_im": value.imag}
-    _write(json.dumps(payload) + "\n", None)
-    return 0
+    return {"tau": args.tau, "re": z.real, "im": z.imag,
+            "cauchy_re": value.real, "cauchy_im": value.imag}
 
 
-def _cmd_potential(args, parser) -> int:
+def _cmd_potential(args, parser) -> dict:
     z = _point(args, parser)
-    payload = {"tau": args.tau, "re": z.real, "im": z.imag,
-               "potential": potential(args.tau, z)}
-    _write(json.dumps(payload) + "\n", None)
-    return 0
+    return {"tau": args.tau, "re": z.real, "im": z.imag,
+            "potential": potential(args.tau, z)}
 
 
-def _cmd_omega(args, parser) -> int:
+def _cmd_omega(args, parser) -> dict:
     if args.tol is not None and args.method != "series":
         parser.error("--tol applies only to --method series")
     regime = classify_regime(args.tau)
-    if args.method in ("series", "integral") and regime is not Regime.REPULSIVE:
-        raise DomainError(
-            f"method {args.method!r} applies only to the repulsive regime "
-            f"(tau={args.tau!r} is {regime.value})")
     if args.method == "closed" and regime is Regime.REPULSIVE:
         raise DomainError(
             "the repulsive regime has no closed form; use series or integral")
@@ -146,45 +131,32 @@ def _cmd_omega(args, parser) -> int:
         value = omega_integral(args.tau)
     else:
         value = omega(args.tau)
-    payload = {"tau": args.tau, "regime": regime.value,
-               "beta": support(args.tau).beta,
-               "omega": value, "method": args.method}
-    _write(json.dumps(payload) + "\n", None)
-    return 0
+    return {"tau": args.tau, "regime": regime.value,
+            "beta": support(args.tau).beta,
+            "omega": value, "method": args.method}
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args, parser) -> dict:
     report = verify(args.tau)
-    payload = {"tau": report.tau,
-               "mass_error": report.mass_error,
-               "flatness_error": report.flatness_error,
-               "inequality_margin": report.inequality_margin,
-               "sp_error": report.sp_error,
-               "cross_route_omega_spread": report.cross_route_omega_spread,
-               "pass": report.passes}
-    _write(json.dumps(payload) + "\n", None)
-    return 0 if report.passes else 1
+    return {"tau": report.tau,
+            "mass_error": report.mass_error,
+            "flatness_error": report.flatness_error,
+            "inequality_margin": report.inequality_margin,
+            "sp_error": report.sp_error,
+            "cross_route_omega_spread": report.cross_route_omega_spread,
+            "pass": report.passes}
 
 
-def _cmd_density(args, parser) -> int:
-    if args.n < 2:
-        parser.error("--n must be >= 2")
-    x, rho = _density_table(args.tau, args.n, args.grid)
-    _write(_csv("x,density", (x, rho)), args.out)
-    return 0
+def _cmd_density(args, parser) -> str:
+    return _csv("x,density", _density_table(args.tau, args.n, args.grid))
 
 
-def _cmd_figure(args, parser) -> int:
-    if args.n < 2:
-        parser.error("--n must be >= 2")
+def _cmd_figure(args, parser) -> str:
     if args.name == "extfield":
         x = np.linspace(-1.0, 1.0, args.n)
-        vals = external_field(args.tau, x)
-    else:
-        tau_fig = -2.0 if args.name == "fig2" else 2.0
-        x, vals = _density_table(tau_fig, args.n, "uniform")
-    _write(_csv("x,value", (x, vals)), args.out)
-    return 0
+        return _csv("x,value", (x, external_field(args.tau, x)))
+    tau_fig = -2.0 if args.name == "fig2" else 2.0
+    return _csv("x,value", _density_table(tau_fig, args.n, "uniform"))
 
 
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
@@ -199,82 +171,72 @@ def _build_parser() -> argparse.ArgumentParser:
                     "equilibrium constant, and verification reports.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("regime", help="classify tau into its regime")
-    p.add_argument("--tau", type=_finite, required=True, help="field strength")
-    p.set_defaults(func=_cmd_regime)
+    # options that several commands share, declared once
+    tau = argparse.ArgumentParser(add_help=False)
+    tau.add_argument("--tau", type=_finite, required=True, help="field strength")
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--x", type=_finite, help="real evaluation point")
+    point.add_argument("--re", type=_finite, help="real part of the point")
+    point.add_argument("--im", type=_finite, help="imaginary part (default 0)")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--n", type=_rows, default=201, help="number of rows (default 201)")
+    table.add_argument("--out", help="write CSV here instead of stdout")
 
-    p = sub.add_parser("beta", help="support endpoint parameter beta")
-    p.add_argument("--tau", type=_finite, required=True, help="field strength")
-    p.set_defaults(func=_cmd_beta)
+    def command(name, func, parents, summary):
+        p = sub.add_parser(name, parents=parents, help=summary)
+        # usage errors found after parsing are reported by this parser;
+        # argparse takes an argument for a value, not an option, when it
+        # looks like a negative number, and its own test knows only "-123"
+        # and "-1.5", so "--tau -1e8" would read "-1e8" as an option
+        p.set_defaults(func=func, parser=p)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
+        return p
 
-    p = sub.add_parser("cauchy", help="Cauchy transform at a point off the support")
-    p.add_argument("--tau", type=_finite, required=True, help="field strength")
-    p.add_argument("--x", type=_finite, help="real evaluation point")
-    p.add_argument("--re", type=_finite, help="real part of the point")
-    p.add_argument("--im", type=_finite, help="imaginary part (default 0)")
-    p.set_defaults(func=_cmd_cauchy)
-
-    p = sub.add_parser("potential", help="logarithmic potential at a point")
-    p.add_argument("--tau", type=_finite, required=True, help="field strength")
-    p.add_argument("--x", type=_finite, help="real evaluation point")
-    p.add_argument("--re", type=_finite, help="real part of the point")
-    p.add_argument("--im", type=_finite, help="imaginary part (default 0)")
-    p.set_defaults(func=_cmd_potential)
-
-    p = sub.add_parser("omega", help="equilibrium constant")
-    p.add_argument("--tau", type=_finite, required=True, help="field strength")
+    command("regime", _cmd_regime, [tau], "classify tau into its regime")
+    command("beta", _cmd_beta, [tau], "support endpoint parameter beta")
+    command("cauchy", _cmd_cauchy, [tau, point], "Cauchy transform at a point off the support")
+    command("potential", _cmd_potential, [tau, point], "logarithmic potential at a point")
+    p = command("omega", _cmd_omega, [tau], "equilibrium constant")
     p.add_argument("--method", choices=("auto", "closed", "series", "integral"),
                    default="auto",
                    help="closed form (non-repulsive), series/integral "
                         "(repulsive), or auto (default)")
     p.add_argument("--tol", type=_finite,
                    help="series tail tolerance (series method only; default 1e-12)")
-    p.set_defaults(func=_cmd_omega)
-
-    p = sub.add_parser("verify", help="run the verification suite at one tau")
-    p.add_argument("--tau", type=_finite, required=True, help="field strength")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("density", help="CSV table of the equilibrium density")
-    p.add_argument("--tau", type=_finite, required=True, help="field strength")
-    p.add_argument("--n", type=int, default=201, help="number of rows (default 201)")
+    command("verify", _cmd_verify, [tau], "run the verification suite at one tau")
+    p = command("density", _cmd_density, [tau, table], "CSV table of the equilibrium density")
     p.add_argument("--grid", choices=("uniform", "chebyshev"), default="uniform",
                    help="sample layout (default uniform)")
-    p.add_argument("--out", help="write CSV here instead of stdout")
-    p.set_defaults(func=_cmd_density)
-
-    p = sub.add_parser("figure", help="CSV data behind the reference figures")
+    p = command("figure", _cmd_figure, [table], "CSV data behind the reference figures")
     p.add_argument("--name", choices=("fig2", "fig3", "extfield"), required=True,
                    help="fig2: density at tau=-2; fig3: density at tau=2; "
                         "extfield: tau*V(x) on [-1, 1]")
     p.add_argument("--tau", type=_finite, default=-2.0,
                    help="field strength for extfield (fig2/fig3 fix their own)")
-    p.add_argument("--n", type=int, default=201, help="number of rows (default 201)")
-    p.add_argument("--out", help="write CSV here instead of stdout")
-    p.set_defaults(func=_cmd_figure)
-
-    # usage errors found after parsing are reported by the subcommand's parser
-    for p in sub.choices.values():
-        p.set_defaults(parser=p)
-    # argparse takes an argument for a value, not an option, when it looks
-    # like a negative number; its own test knows only "-123" and "-1.5", so
-    # "--tau -1e8" would read "-1e8" as an option
-    for p in (parser, *sub.choices.values()):
-        p._negative_number_matcher = _NEGATIVE_NUMBER
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and write what it returns, a JSON payload (dict) or
+    CSV text, to stdout or to --out.  Exit code 1 for a failed verification."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args, args.parser)
+        result = args.func(args, args.parser)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    text = result if isinstance(result, str) else json.dumps(result) + "\n"
+    out = getattr(args, "out", None)
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        with open(out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    return 0 if isinstance(result, str) or result.get("pass", True) else 1
 
 
 if __name__ == "__main__":

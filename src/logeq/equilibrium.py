@@ -198,13 +198,16 @@ def sqrt_cut(z, a: float):
     A naive principal sqrt of z^2 - a^2 would put a spurious cut on the
     imaginary axis instead.
     """
-    return _descalar(_sqrt_cut_arr(np.asarray(z, dtype=complex), a))
+    if not math.isfinite(a):
+        raise DomainError(f"sqrt_cut needs a finite a, got {a!r}")
+    flat, shape = _points(z, "sqrt_cut")
+    return _descalar(_sqrt_cut_arr(flat, a).reshape(shape))
 
 
 def phi_joukowski(z):
     """Inverse Joukowski map z + (z^2 - 1)^{1/2}, mapping C \\ [-1,1] to |w| > 1."""
-    z = np.asarray(z, dtype=complex)
-    return _descalar(z + _sqrt_cut_arr(z, 1.0))
+    flat, shape = _points(z, "phi_joukowski")
+    return _descalar((flat + _sqrt_cut_arr(flat, 1.0)).reshape(shape))
 
 
 def _points(z, what: str, cuts=()):
@@ -300,6 +303,8 @@ def lebesgue_potential(z):
 
 def external_field(tau: float, z):
     """External field tau * V(x) acting on the unit charge."""
+    if not math.isfinite(tau):
+        raise DomainError(f"external_field needs a finite tau, got {tau!r}")
     return tau * lebesgue_potential(z)
 
 
@@ -516,7 +521,8 @@ def cauchy(tau: float, z):
 
 def _g_function(tau: float, sup: Support, z):
     if sup.regime is Regime.INTERMEDIATE:
-        return (1.0 + tau) * np.log(0.5 * phi_joukowski(z)) - tau * _lebesgue_g(z)
+        return ((1.0 + tau) * np.log(0.5 * (z + _sqrt_cut_arr(z, 1.0)))
+                - tau * _lebesgue_g(z))
     if sup.regime is Regime.ATTRACTIVE:
         beta, s = sup.beta, sup.kc
         r = _sqrt_cut_arr(z, beta)

@@ -37,11 +37,12 @@ class GridMeasure:
         n, w = self.nodes, self.weights
         if len(n) != len(w):
             raise ConsistencyError("nodes and weights differ in length")
-        if np.any(w < 0.0):
-            raise ConsistencyError("negative weight in grid measure")
-        if abs(float(np.sum(w)) - 1.0) > 1e-12:
+        # each test states what must hold, so that a NaN fails it
+        if not np.all(w >= 0.0):
+            raise ConsistencyError("negative or NaN weight in grid measure")
+        if not abs(float(np.sum(w)) - 1.0) <= 1e-12:
             raise ConsistencyError(f"weights sum to {float(np.sum(w))!r}, not 1")
-        if np.any(np.diff(n) <= 0.0) or n[0] < -1.0 or n[-1] > 1.0:
+        if not (np.all(np.diff(n) > 0.0) and -1.0 <= n[0] and n[-1] <= 1.0):
             raise ConsistencyError("nodes must increase within [-1, 1]")
 
 

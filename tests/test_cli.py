@@ -193,7 +193,8 @@ def test_exit_code_3_domain_errors():
     cases = (["cauchy", "--tau", "0", "--x", "0.5"],      # on the cut
              ["cauchy", "--tau", "-3", "--x", "0.1"],
              ["omega", "--tau", "2", "--method", "closed"],
-             ["omega", "--tau", "0", "--method", "series"])
+             ["omega", "--tau", "0", "--method", "series"],
+             ["omega", "--tau", "0", "--method", "integral"])
     for argv in cases:
         rc, _, err = run_cli(*argv)
         assert rc == 3, argv
@@ -293,14 +294,15 @@ def test_reruns_are_byte_identical():
 
 
 def test_out_file_matches_stdout(tmp_path):
-    rc, out, _ = run_cli("density", "--tau", "-2", "--n", "11")
-    assert rc == 0
-    target = tmp_path / "table.csv"
-    rc2, out2, _ = run_cli("density", "--tau", "-2", "--n", "11",
-                           "--out", str(target))
-    assert rc2 == 0 and out2 == b""
-    assert target.read_bytes() == out
-    assert b"\r" not in out  # LF endings regardless of platform
+    for argv in (["density", "--tau", "-2", "--n", "11"],
+                 ["figure", "--name", "fig2", "--n", "11"]):
+        rc, out, _ = run_cli(*argv)
+        assert rc == 0
+        target = tmp_path / f"{argv[0]}.csv"
+        rc2, out2, _ = run_cli(*argv, "--out", str(target))
+        assert rc2 == 0 and out2 == b""
+        assert target.read_bytes() == out
+        assert b"\r" not in out  # LF endings regardless of platform
 
 
 # ---------------------------------------------------------------------------

@@ -594,6 +594,20 @@ def test_non_finite_points_raise(tau, z):
         potential(tau, z)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: sqrt_cut(math.nan, 0.5),
+    lambda: sqrt_cut(math.inf, 0.5),
+    lambda: sqrt_cut(1.0, math.nan),
+    lambda: phi_joukowski(math.nan),
+    lambda: external_field(math.nan, 0.5),
+    lambda: external_field(math.inf, 0.5),
+], ids=["sqrt_cut-nan-z", "sqrt_cut-inf-z", "sqrt_cut-nan-a", "phi_joukowski-nan",
+        "external_field-nan-tau", "external_field-inf-tau"])
+def test_branch_helpers_reject_non_finite_input(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_attractive_edge_of_the_boundary():
     # 1 - beta^2 is formed as ((1+tau)/tau)^2: beta rounds to 1 here, and
     # the density, omega and the transform must stay finite and quiet

@@ -206,6 +206,13 @@ def test_grid_measure_validation():
         GridMeasure(nodes=nodes + 0.5, weights=w)
 
 
+def test_grid_measure_rejects_nan():
+    with pytest.raises(ConsistencyError):
+        GridMeasure(nodes=np.array([0.0, 0.5]), weights=np.array([math.nan, 1.0]))
+    with pytest.raises(ConsistencyError):
+        GridMeasure(nodes=np.array([math.nan, 0.5]), weights=np.array([0.5, 0.5]))
+
+
 def test_discrete_minimizer_arcsine():
     sol = discrete_minimize(0.0, 400, 1500)
     assert isinstance(sol, DiscreteSolution)
