@@ -49,7 +49,10 @@ def _finite(text: str) -> float:
 
 
 def _rows(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 2:
         raise argparse.ArgumentTypeError("--n must be >= 2")
     return value

@@ -204,9 +204,6 @@ def test_grid_measure_validation():
         GridMeasure(nodes=nodes[::-1], weights=w)
     with pytest.raises(ConsistencyError):
         GridMeasure(nodes=nodes + 0.5, weights=w)
-
-
-def test_grid_measure_rejects_nan():
     with pytest.raises(ConsistencyError):
         GridMeasure(nodes=np.array([0.0, 0.5]), weights=np.array([math.nan, 1.0]))
     with pytest.raises(ConsistencyError):
