@@ -22,12 +22,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
-from .specfun import integral_I, integral_I_cheb, theta_rule
+from .specfun import _theta_nodes, integral_I, integral_I_cheb
 
 # Upper boundary of the intermediate regime; 2/(pi-2) ~ 1.7519.
 TAU_CRITICAL = 2.0 / (math.pi - 2.0)
@@ -108,7 +108,16 @@ def classify_regime(tau: float) -> Regime:
     return Regime.REPULSIVE
 
 
-@lru_cache(maxsize=1024)
+def _memo_tau(func):
+    """Memoize for the 1024 most recent taus, keyed on float(tau): a numpy
+    tau shares its float's entry, and a tau that raises leaves none."""
+    cached = lru_cache(maxsize=1024)(func)
+    call = wraps(func)(lambda tau: cached(float(tau)))
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return call
+
+
+@_memo_tau
 def solve_beta_repulsive(tau: float) -> tuple[float, float]:
     """(beta, kc): the two-cut endpoint, root of E(beta) = 1 + 1/tau, and
     its complementary modulus kc = sqrt(1 - beta^2).
@@ -130,11 +139,12 @@ def solve_beta_repulsive(tau: float) -> tuple[float, float]:
     kc2, b2 = 0.5 * m, 1.0 - 0.5 * m
     for _ in range(_NEWTON_MAX_ITER):
         # r from kc2 itself, not theta_rule's square of a rounded sqrt
-        phi, w, _ = theta_rule(math.sqrt(b2), math.sqrt(kc2))
-        sin_phi, w_cos2 = np.sin(phi), w * np.cos(phi) ** 2
-        r = np.sqrt(kc2 + b2 * sin_phi * sin_phi)
-        step = ((1.0 / tau - kc2 * float(np.sum(w_cos2 / (r + sin_phi))))
-                / (0.5 * float(np.sum(w_cos2 / r))))
+        nodes = _theta_nodes(math.sqrt(b2), math.sqrt(kc2))
+        # b2 sin sin, not b2 sin^2: a product in another order moves beta
+        # by an ulp at ~2% of taus
+        r = np.sqrt(kc2 + b2 * nodes.sin * nodes.sin)
+        step = ((1.0 / tau - kc2 * float((nodes.w_cos2 / (r + nodes.sin)).sum()))
+                / (0.5 * float((nodes.w_cos2 / r).sum())))
         if kc2 <= b2:
             kc2, b2 = kc2 + step, 1.0 - (kc2 + step)
         else:
@@ -149,8 +159,10 @@ def solve_beta_repulsive(tau: float) -> tuple[float, float]:
     return math.sqrt(b2), math.sqrt(kc2)
 
 
+@_memo_tau
 def support(tau: float) -> Support:
-    """Support of the equilibrium measure at tau, with beta and kc."""
+    """Support of the equilibrium measure at tau, with beta and kc; one
+    memoized Support per tau serves every route."""
     regime = classify_regime(tau)
     if regime is Regime.INTERMEDIATE:
         return Support(regime, 1.0, 0.0)
@@ -458,7 +470,7 @@ def _cauchy_repulsive(tau: float, sup: Support, z):
     # z -+ beta as `density` forms them, from the outer edge past the
     # midpoint of a piece (the order of the factors: see _sqrt_cut_arr)
     minus, plus = _shift(z, -beta), _shift(z, beta)
-    if np.any(np.abs(z.real) > 0.5 * (1.0 + beta)):
+    if (np.abs(z.real) > 0.5 * (1.0 + beta)).any():
         minus.real, plus.real = _beyond_beta(sup, z.real), -_beyond_beta(sup, -z.real)
     rho = np.sqrt(minus) * np.sqrt(plus) / _sqrt_cut_arr(z, 1.0)
     out = np.empty(z.shape, complex)
@@ -475,12 +487,12 @@ def _cauchy_repulsive(tau: float, sup: Support, z):
         # From |z| = 2 on, q directly under x = beta sin(theta), the nodes
         # +-y of theta_rule paired: q/2 = sum w root/(z - y^2/z).
         zf = z[~near]
-        phi, w, root = theta_rule(beta, kc)
-        y2 = (beta * np.cos(phi)) ** 2
+        nodes = _theta_nodes(beta, kc)
+        w_root, y2 = nodes.w * nodes.root(beta, kc), (beta * nodes.cos) ** 2
         half_q = np.empty(zf.shape, complex)
         for i in range(0, zf.size, _KERNEL_BLOCK):
             zb = zf[i:i + _KERNEL_BLOCK, None]
-            half_q[i:i + _KERNEL_BLOCK] = np.sum(w * root / (zb - y2 / zb), axis=-1)
+            half_q[i:i + _KERNEL_BLOCK] = (w_root / (zb - y2 / zb)).sum(axis=-1)
         out[~near] = tau * (rho[~near] * half_q - np.arctanh(np.reciprocal(zf)))
     # Real on the real axis outside [-1, 1] (Schwarz reflection), where both
     # forms cancel two imaginary terms only to rounding.
@@ -583,13 +595,13 @@ def _omega_theta(tau: float) -> float:
     r = sqrt(k'^2 + beta^2 sin^2 phi), on the nodes of `theta_rule`; no
     term cancels as beta -> 1."""
     sup = support(tau)
-    phi, w, root = theta_rule(sup.beta, sup.kc)
-    bs = sup.beta * np.sin(phi)
+    nodes = _theta_nodes(sup.beta, sup.kc)
+    bs = sup.beta * nodes.sin
     return ((tau + 1.0) * math.log(2.0) - (1.0 + tau * 2.0 * sup.half_length) * math.log(sup.kc)
-            - tau * float(np.sum(w * bs * np.log(root + bs))))
+            - tau * float((nodes.w * bs * np.log(nodes.root(sup.beta, sup.kc) + bs)).sum()))
 
 
-@lru_cache(maxsize=1024)
+@_memo_tau
 def _omega_repulsive(tau: float) -> tuple[float, float]:
     """The two-cut omega by the theta formula, and by `omega_integral`
     checking it: (theta, integral)."""
@@ -608,6 +620,7 @@ def omega(tau: float) -> float:
     finite tau up to ~1.8e15; above, beta rounds to 1 and DomainError is
     raised.
     """
+    tau = float(tau)  # a numpy tau answers a float, as on two cuts
     sup = support(tau)
     if sup.regime is Regime.INTERMEDIATE:
         return (1.0 + tau) * math.log(2.0)

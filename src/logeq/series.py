@@ -17,14 +17,16 @@ the in-package reference for every c_k.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ._quad import gl_map, graded_rule
 from .equilibrium import Regime, classify_regime, support
 from .errors import ConsistencyError, DomainError
-from .specfun import complete_E, theta_rule
+from .specfun import _theta_nodes, complete_E
 
 # Relative tolerance at which a closed-form coefficient is declared
 # inconsistent with its defining integral.
@@ -227,6 +229,26 @@ def omega_series(tau: float, tol: float) -> SeriesResult:
         f"omega_series did not reach tol={tol!r} in {k_max} terms at tau={tau!r}")
 
 
+# The outer nodes of omega_integral for one panel count of u, x = 1 + u^2
+# on [1, 2] and x = 1/t on [2, inf), as what its integrands read: x - 1 on
+# both ranges, u^2, 1 + u^2, sqrt(2 + u^2), u sqrt(2 + u^2) = sqrt(x^2 - 1),
+# 2 w_u, 2 w_u u, t, w_t and sqrt(1 - t^2) (read-only arrays).
+_OuterRule = namedtuple("_OuterRule", "x_minus_1 u2 x_a sq u_sq w2 w2u t w_t s1")
+
+
+@lru_cache(maxsize=32)
+def _outer_rule(n_panels: int) -> _OuterRule:
+    u, w_u = graded_rule(1.0, n_panels, 16)
+    t, w_t = gl_map(0.0, 0.5, 64)
+    u2 = u * u
+    sq = np.sqrt(2.0 + u2)
+    rule = _OuterRule(np.concatenate((u2, 1.0 / t - 1.0)), u2, 1.0 + u2, sq, u * sq,
+                      w_u * 2.0, w_u * 2.0 * u, t, w_t, np.sqrt(1.0 - t * t))
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def omega_integral(tau: float) -> float:
     """Equilibrium constant by the direct double-integral route.
 
@@ -256,34 +278,27 @@ def omega_integral(tau: float) -> float:
     beta, kc = sup.beta, sup.kc
     delta = 2.0 * sup.half_length  # 1 - beta, from kc
     # Inner rule: phi in [0, pi/2] for each half, theta = +-(pi/2 - phi).
-    phi, w_phi, root = theta_rule(beta, kc)
-    cos_phi = np.cos(phi)
-    sin_s = np.concatenate((cos_phi, -cos_phi))
-    # 1 - sin(theta) on the upper half and the lower half
-    one_minus_s = np.concatenate((2.0 * np.sin(0.5 * phi) ** 2, 1.0 + cos_phi))
-    w_root = np.tile(w_phi * root, 2)
-    gap = delta + beta * one_minus_s  # x - beta sin(theta) at x = 1
+    nodes = _theta_nodes(beta, kc)
+    w_root = nodes.w * nodes.root(beta, kc)
+    w_root = np.concatenate((w_root, w_root))
+    gap = delta + beta * nodes.one_minus_s  # x - beta sin(theta) at x = 1
 
-    # Outer nodes: x = 1 + u^2 on [1, 2], x = 1/t on [2, inf); the u panels
-    # halve until the innermost is below the layer width sqrt(1 - beta).
-    u, w_u = graded_rule(1.0, math.ceil(-0.5 * math.log2(delta)), 16)
-    t, w_t = gl_map(0.0, 0.5, 64)
-    x_minus_1 = np.concatenate((u * u, 1.0 / t - 1.0))
+    # Outer nodes: the u panels halve until the innermost is below the
+    # layer width sqrt(1 - beta).
+    o = _outer_rule(math.ceil(-0.5 * math.log2(delta)))
     # Row sums, not a matrix product: BLAS would add its buffers to the RSS.
-    kernel = w_root / (x_minus_1[:, None] + gap)
-    j0, j1 = np.sum(kernel, axis=1), np.sum(kernel * sin_s, axis=1)
-    j0a, j1a, j0b, j1b = j0[:u.size], j1[:u.size], j0[u.size:], j1[u.size:]
+    kernel = w_root / (o.x_minus_1[:, None] + gap)
+    j0, j1 = kernel.sum(axis=1), (kernel * nodes.sin_s).sum(axis=1)
+    n = o.u2.size
+    j0a, j1a, j0b, j1b = j0[:n], j1[:n], j0[n:], j1[n:]
 
-    x_a = 1.0 + u * u
-    sq = np.sqrt(2.0 + u * u)
-    # sqrt(x^2 - 1) = u sqrt(2 + u^2), sqrt(x^2 - beta^2) from x - beta = u^2 + 1 - beta
-    w1a = np.sum(w_u * 2.0 * j0a / (sq * (u * sq + np.sqrt((u * u + delta) * (x_a + beta)))))
-    s1 = np.sqrt(1.0 - t * t)
-    s2 = np.sqrt(1.0 - (beta * t) ** 2)
-    w1b = np.sum(w_t * j0b / (s1 * (s1 + s2)))
+    # sqrt(x^2 - beta^2) from x - beta = u^2 + 1 - beta
+    w1a = (o.w2 * j0a / (o.sq * (o.u_sq + np.sqrt((o.u2 + delta) * (o.x_a + beta))))).sum()
+    s2 = np.sqrt(1.0 - (beta * o.t) ** 2)
+    w1b = (o.w_t * j0b / (o.s1 * (o.s1 + s2))).sum()
     w1 = 0.5 * tau * kc * kc * (w1a + w1b)
     # J1(x)/x dx is 2u J1(1 + u^2)/(1 + u^2) du, and J1(1/t)/t dt on the tail.
-    w2a = np.sum(w_u * 2.0 * u * j1a / x_a)
-    w2b = np.sum(w_t * j1b / t)
+    w2a = (o.w2u * j1a / o.x_a).sum()
+    w2b = (o.w_t * j1b / o.t).sum()
     w2 = 0.5 * tau * beta * (w2a + w2b)
     return float(w1 + w2)

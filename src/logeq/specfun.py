@@ -13,6 +13,7 @@ arguments below multiply sin^2 inside the square root as k^2.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -79,6 +80,34 @@ def complete_E(k: float) -> float:
 # The two-parameter kernel integral
 # ---------------------------------------------------------------------------
 
+class _ThetaNodes(namedtuple("_ThetaNodes", "phi w sin cos w_cos2 sin_s one_minus_s")):
+    """The θ rule of one panel count in φ = π/2 - θ, and what the two-cut
+    routes read of its nodes: w cos²φ for the k'² Newton, sin θ = ±cos φ
+    and 1 - sin θ on the upper and lower halves of [-π/2, π/2] for
+    `omega_integral` (read-only arrays)."""
+
+    def root(self, k: float, kc: float) -> np.ndarray:
+        return np.sqrt(kc * kc + (k * self.sin) ** 2)  # no cancellation as k -> 1
+
+
+@lru_cache(maxsize=32)
+def _theta_table(n_panels: int) -> _ThetaNodes:
+    phi, w = graded_rule(0.5 * math.pi, n_panels, 16)
+    sin, cos = np.sin(phi), np.cos(phi)
+    nodes = _ThetaNodes(phi, w, sin, cos, w * cos ** 2, np.concatenate((cos, -cos)),
+                        np.concatenate((2.0 * np.sin(0.5 * phi) ** 2, 1.0 + cos)))
+    for arr in nodes:
+        arr.flags.writeable = False
+    return nodes
+
+
+def _theta_nodes(k: float, kc: float) -> _ThetaNodes:
+    """The nodes of `theta_rule(k, kc)`, shared by every (k, kc) with as many panels."""
+    if not (0.0 <= k <= 1.0 and 0.0 < kc <= 1.0):
+        raise DomainError(f"the θ rule requires 0 <= k <= 1 and 0 < kc <= 1, got {k!r}, {kc!r}")
+    return _theta_table(math.ceil(math.log2(0.5 * math.pi / kc) + 0.5 * math.log2(1.0 + k)))
+
+
 def theta_rule(k: float, kc: float):
     """Nodes for the θ-integrals of √(1 - k² sin²θ) over [0, π/2], in
     φ = π/2 - θ, as (phi, w, root) with root = √(1 - k² cos²φ), given the
@@ -86,12 +115,13 @@ def theta_rule(k: float, kc: float):
 
     16-node panels halve toward φ = 0 until the innermost is below the
     width √(1 - k) = kc/√(1 + k) of the layer there: 32 nodes at k = 0,
-    480 where the two-cut beta is the last double below 1.  The root is
-    formed as √(kc² + (k sin φ)²), which does not cancel as k -> 1.
+    480 where the two-cut beta is the last double below 1.  The nodes and
+    their sines and cosines are cached per panel count; only the root,
+    formed as √(kc² + (k sin φ)²), is computed per (k, kc).  DomainError
+    unless 0 <= k <= 1 and 0 < kc <= 1 (k may round to 1 where kc > 0).
     """
-    n_panels = math.ceil(math.log2(0.5 * math.pi / kc) + 0.5 * math.log2(1.0 + k))
-    phi, w = graded_rule(0.5 * math.pi, n_panels, 16)
-    return phi, w, np.sqrt(kc * kc + (k * np.sin(phi)) ** 2)
+    nodes = _theta_nodes(k, kc)
+    return nodes.phi, nodes.w, nodes.root(k, kc)
 
 
 # Points x theta nodes per block of integral_I: one scratch block of ~256 KiB,
@@ -117,7 +147,7 @@ def integral_I(a, k: float, kc: float):
     """
     a_arr = np.asarray(a)
     a_arr = a_arr.astype(np.result_type(a_arr, float), copy=False)
-    if np.any(a_arr.real < 0.0) or np.isnan(a_arr).any():
+    if (a_arr.real < 0.0).any() or np.isnan(a_arr).any():
         raise DomainError("integral_I requires Re a >= 0, and no NaN")
     if not (0.0 <= k < 1.0 and 0.0 < kc <= 1.0):
         raise DomainError(f"integral_I requires 0 <= k < 1 and 0 < kc <= 1, got {k!r}, {kc!r}")
@@ -130,7 +160,7 @@ def integral_I(a, k: float, kc: float):
         terms = scratch[:flat.size - i]
         np.add(flat[i:i + step, None], root, out=terms)
         np.divide(w, terms, out=terms)
-        np.sum(terms, axis=-1, out=vals[i:i + step])
+        terms.sum(axis=-1, out=vals[i:i + step])
     if np.ndim(a) == 0:
         return vals[0].item()
     return vals.reshape(a_arr.shape)
@@ -142,24 +172,33 @@ def integral_I(a, k: float, kc: float):
 _I_CHEB_TERMS = 24
 
 
+@lru_cache(maxsize=1)
+def _cheb_cosines():
+    """1 + cos θ_i at the Chebyshev points θ_i and cos(j θ_i), with j θ_i
+    reduced mod 2π in integers first: a rounded θ_i times j would cost up
+    to j ulps in the coefficients (read-only)."""
+    n = _I_CHEB_TERMS
+    odd = 2 * np.arange(n) + 1
+    points = 1.0 + np.cos(odd * (0.5 * math.pi / n))
+    table = np.cos((np.arange(n)[:, None] * odd) % (4 * n) * (0.5 * math.pi / n))
+    points.flags.writeable = table.flags.writeable = False
+    return points, table
+
+
 @lru_cache(maxsize=1024)
 def _I_cheb_coeffs(k: float, kc: float):
     """Chebyshev coefficients of a -> I(a, k) on [0, kc], kc = √(1-k²),
     from its values at the Chebyshev points (read-only, cached per k, kc).
     The first coefficient is stored halved, as Clenshaw's sum wants it."""
-    n = _I_CHEB_TERMS
-    odd = 2 * np.arange(n) + 1
-    vals = integral_I(0.5 * kc * (1.0 + np.cos(odd * (0.5 * math.pi / n))), k, kc)
-    # cos(j theta_i) with j theta_i reduced mod 2 pi in integers first: a
-    # rounded theta_i times j would cost up to j ulps in the coefficients.
+    points, table = _cheb_cosines()
+    vals = integral_I(0.5 * kc * points, k, kc)
     # The rows j >= 1 of the rounded table still sum to ~-2e-16 each, not 0,
     # which would add ~-5e-15 relative at a = k'; so the mean value goes into
     # the first coefficient directly and only the deviations are transformed.
     # An elementwise table and row sums rather than a matrix product, which
     # would bring in the BLAS buffers for one 24 x 24 product per k.
-    phase = (np.arange(n)[:, None] * odd) % (4 * n)
-    mean = np.mean(vals)
-    c = (2.0 / n) * np.sum(np.cos(phase * (0.5 * math.pi / n)) * (vals - mean), axis=-1)
+    mean = vals.mean()
+    c = (2.0 / _I_CHEB_TERMS) * (table * (vals - mean)).sum(axis=-1)
     c[0] = 0.5 * c[0] + mean
     c.flags.writeable = False
     return c
@@ -174,7 +213,7 @@ def _cache_line_rows(rows: int, n: int) -> np.ndarray:
     to put its buffers, which moves from one process to the next."""
     stride = -(-n // 8) * 8
     buf = np.empty(rows * stride + 7)
-    start = (-buf.ctypes.data % 64) // 8
+    start = (-buf.__array_interface__["data"][0] % 64) // 8
     return buf[start:start + rows * stride].reshape(rows, stride)[:, :n]
 
 

@@ -50,6 +50,7 @@ def _verify_cached(tau: float):
 
 def test_criterion_1_endpoint_reproduction():
     solve_beta_repulsive.cache_clear()
+    support.cache_clear()
     t0 = time.perf_counter()
     b2 = solve_beta_repulsive(2.0)[0]
     dt = time.perf_counter() - t0

@@ -189,6 +189,24 @@ def test_exit_code_2_usage_errors():
         assert err.startswith(usage.encode()), (argv, err)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["regime", "--tau", "abc"], "argument --tau: invalid float value: 'abc'"),
+    (["cauchy", "--tau", "3", "--x", "1,5"], "argument --x: invalid float value: '1,5'"),
+    (["cauchy", "--tau", "3", "--re", "x", "--im", "1"], "argument --re: invalid float value: 'x'"),
+    (["potential", "--tau", "3", "--re", "2", "--im", "1j"],
+     "argument --im: invalid float value: '1j'"),
+    (["omega", "--tau", "3", "--method", "series", "--tol", "tiny"],
+     "argument --tol: invalid float value: 'tiny'"),
+    (["density", "--tau", "3", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+])
+def test_malformed_numbers_use_argparse_wording(argv, message, capsys):
+    # not the name of the private type function
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith(message)
+
+
 def test_exit_code_3_domain_errors():
     cases = (["cauchy", "--tau", "0", "--x", "0.5"],      # on the cut
              ["cauchy", "--tau", "-3", "--x", "0.1"],

@@ -623,6 +623,9 @@ def test_repulsive_memo_caches_are_bounded():
     from logeq.equilibrium import _omega_repulsive
     assert solve_beta_repulsive.cache_info().maxsize == 1024
     assert _omega_repulsive.cache_info().maxsize == 1024
+    assert support.cache_info().maxsize == 1024
+    # every route at one tau reads one Support
+    assert support(3.0) is support(3.0)
 
 
 @pytest.mark.parametrize("tau", CAUCHY_TAUS)

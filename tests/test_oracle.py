@@ -21,6 +21,7 @@ from logeq.equilibrium import (
     external_field,
     omega,
     potential,
+    report,
     solve_beta_repulsive,
     support,
 )
@@ -474,9 +475,27 @@ def test_verify_reads_a_failed_quadrature_as_infinities(monkeypatch, tau):
 
 @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
 def test_non_finite_tau_is_a_domain_error(tau):
-    for call in (support, omega, lambda t: density(t, 0.5), verify):
-        with pytest.raises(DomainError):
-            call(tau)
+    from logeq.equilibrium import _omega_repulsive
+    caches = (support, solve_beta_repulsive, _omega_repulsive)
+    for cache in caches:
+        cache.cache_clear()
+    for call in (support, omega, lambda t: density(t, 0.5), verify, solve_beta_repulsive):
+        for t in (tau, np.float64(tau), np.array(tau)):
+            with pytest.raises(DomainError):
+                call(t)
+    # a tau that raises leaves no entry behind
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("tau", [-2.0, 0.5, 3.0])
+def test_numpy_tau_answers_as_its_float(tau):
+    # every tau-keyed cache keys on float(tau): a 0-d array is no
+    # unhashable key, and a numpy scalar gives what its float gives
+    want = (support(tau), omega(tau), report(tau), verify(tau))
+    for t in (np.float64(tau), np.array(tau)):
+        got = (support(t), omega(t), report(t), verify(t))
+        assert got == want
+        assert type(got[1]) is float and type(got[2].omega) is float
 
 
 def test_verify_raises_where_support_does():

@@ -9,10 +9,12 @@ import math
 import numpy as np
 import pytest
 
-from logeq.equilibrium import TAU_CRITICAL, support
+from logeq._quad import graded_rule
+from logeq.equilibrium import TAU_CRITICAL, cauchy, density, omega, support
 from logeq.errors import DomainError
-from logeq.specfun import (_cache_line_rows, complete_E, complete_K, integral_I,
-                           integral_I_cheb)
+from logeq.series import _outer_rule
+from logeq.specfun import (_cache_line_rows, _cheb_cosines, _theta_table, complete_E,
+                           complete_K, integral_I, integral_I_cheb, theta_rule)
 
 BETA2 = 0.41729943021563715
 
@@ -179,3 +181,41 @@ def test_integral_I_cheb_shapes_and_aligned_scratch():
     assert got.shape == (5, 7) and integral_I_cheb(a[:0], k, 0.8).shape == (0, 7)
     assert np.array_equal(got.ravel(), integral_I_cheb(a.ravel(), k, 0.8))
 
+
+
+def test_theta_rule_rejects_a_modulus_outside_its_domain():
+    # the panel count is taken from k and kc: NaN is a typed error there,
+    # not a ValueError from the ceiling
+    for k, kc in ((math.nan, 0.5), (0.5, math.nan), (-0.1, 0.5), (1.5, 0.5),
+                  (0.5, 0.0), (0.5, 1.5), (0.5, math.inf)):
+        with pytest.raises(DomainError):
+            theta_rule(k, kc)
+
+
+def test_cached_rule_tables_are_read_only_and_exact():
+    # every table a route reads is frozen, and its sines and cosines are
+    # those of the graded rule's nodes bit for bit
+    for n in (1, 6, 29):
+        nodes = _theta_table(n)
+        phi, w = graded_rule(0.5 * math.pi, n, 16)
+        assert np.array_equal(nodes.phi, phi) and np.array_equal(nodes.w, w)
+        assert np.array_equal(nodes.sin, np.sin(phi)) and np.array_equal(nodes.cos, np.cos(phi))
+        assert not any(arr.flags.writeable for arr in (*nodes, *_outer_rule(n)))
+    assert not any(arr.flags.writeable for arr in _cheb_cosines())
+
+
+def test_a_fresh_tau_with_known_panel_counts_builds_no_rule():
+    # after one two-cut tau, another with the same panel counts reads every
+    # rule from the caches: the Newton, the density, both forms of the
+    # Cauchy transform and both omega routes
+    def run(tau):
+        beta = support(tau).beta
+        density(tau, np.linspace(beta, 1.0, 7)[1:-1])
+        cauchy(tau, np.array([0.3 + 0.4j, 3.0 + 1.0j]))
+        omega(tau)
+
+    caches = (_theta_table, _outer_rule, graded_rule)
+    run(7.0 + 1e-9 * math.pi)  # taus no other test caches
+    misses = [cache.cache_info().misses for cache in caches]
+    run(7.0 + 2e-9 * math.pi)
+    assert [cache.cache_info().misses for cache in caches] == misses
