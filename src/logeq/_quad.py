@@ -45,18 +45,10 @@ def gl_map(a: float, b: float, order: int):
     return 0.5 * (a + b) + half * x, half * w
 
 
-def geometric_breaks(span, n_panels):
-    """Panel breakpoints on [0, span] halving n_panels times toward 0.
-
-    The innermost panel is [0, span * 2**-n_panels].  Both arguments may be
-    arrays of one broadcast shape S, giving S + (max(n_panels) + 2,) breaks:
-    a row with fewer panels is padded with zero-width (zero-weight) panels
-    at 0.
-    """
-    span, n = np.broadcast_arrays(np.asarray(span, float), np.asarray(n_panels))
-    k = np.arange(np.max(n), -1, -1)
-    offs = np.where(k > n[..., None], 0.0, span[..., None] * 0.5 ** k)
-    return np.concatenate((np.zeros(offs.shape[:-1] + (1,)), offs), axis=-1)
+def geometric_breaks(span: float, n_panels: int):
+    """Panel breakpoints on [0, span] halving n_panels times toward 0: the
+    innermost panel is [0, span * 2**-n_panels]."""
+    return np.concatenate(([0.0], span * 0.5 ** np.arange(n_panels, -1, -1)))
 
 
 def composite_nodes(breaks, order: int):

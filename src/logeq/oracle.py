@@ -18,8 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._quad import composite_nodes, geometric_breaks, gl_map, gl_rule, graded_rule
-from .equilibrium import (Regime, Support, _density_offset,
+from ._quad import composite_nodes, gl_map, gl_rule, graded_rule
+from .equilibrium import (Regime, Support, _beyond_beta, _density_offset,
                           _descalar, _omega_repulsive, _points, cauchy,
                           classify_regime, density, external_field, omega,
                           support)
@@ -131,14 +131,16 @@ def pv_integral(kernel: str, beta: float, x: float) -> float:
 # Quadrature of the equilibrium measure
 # ---------------------------------------------------------------------------
 
-# Points per block of potential_quad, and per chunk of a block on the
-# shared rows, so that its node arrays stay small.
-_BLOCK, _Z_CHUNK = 256, 32
+# Points per block of potential_quad, and per chunk of a block in the
+# kernel of the shared rows, whose two buffers hold the squared distances
+# of a chunk to the nodes of one row and of its mirror image.
+_BLOCK, _Z_CHUNK = 256, 128
 
-# From this modulus on, log|z - x| rounds to log|z| for every x in [-1, 1]
-# (|x/z| <= 1e-100), and squared distances could overflow further out:
-# potential_quad returns -log|z| there.
-_FAR_POINT = 1e100
+# From this multiple of the outer edge of the support on, potential_quad
+# returns -log|z|: the measure is even, so it has no first moment, and the
+# first correction, O(|x/z|^2) <= 1e-100, rounds away.  Below it, a product
+# of two squared distances in units of that edge stays below ~1e200.
+_FAR_POINT = 1e50
 
 # Nodes of the innermost panel next to a point on a piece, where the product
 # rule below takes log|x - Re z| exactly.
@@ -230,82 +232,132 @@ def measure_quadrature(tau: float, f=None) -> complex | float:
 # Potential by quadrature
 # ---------------------------------------------------------------------------
 
-def _edge_sums(edge, off, s, w, z: np.ndarray, cut) -> np.ndarray:
-    """Sum of w log|z - x| over the nodes x = edge + s off of a row shared by
-    all points of z, the density folded into w (rows of several edges may
-    stack before the last two axes of w), but the nodes from cut[0] up to
-    cut[1] (per row and point).  log|z - x| is taken, in place on real
-    arrays, as log((s off - (Re z - edge))^2 + (Im z)^2) / 2: exact
-    distances next to the edge."""
-    out, node = np.empty(np.shape(w)[:-2] + z.shape), np.arange(np.size(off))
-    for i in range(0, z.size, _Z_CHUNK):
-        c = slice(i, i + _Z_CHUNK)
-        d2 = s * off - (z[c].real[:, None] - edge)
-        d2 *= d2
-        if z[c].imag.any():
-            d2 += z[c].imag[:, None] ** 2
-        if cut[1, ..., c].any():
-            # log 1 = 0: a node left out adds nothing
-            np.putmask(d2, (cut[0, ..., c, None] <= node) & (node < cut[1, ..., c, None]), 1.0)
-        d2 = np.log(d2, out=d2)
-        d2 *= w
-        out[..., c] = 0.5 * np.sum(d2, axis=-1)
+def _flat_ranges(start, stop, n: int) -> np.ndarray:
+    """Flat indices i n + k, in increasing order, of the nodes k from
+    start[i] up to stop[i] of each row i of n nodes."""
+    length = stop - start
+    first = np.arange(start.size) * n + start - (np.cumsum(length) - length)
+    return np.repeat(first, length) + np.arange(length.sum())
+
+
+def _edge_sums(off, w, pos, y, cut, unit: float) -> np.ndarray:
+    """Sum of w log|z - x| over the nodes of rows shared by all points z,
+    but the nodes each point leaves out.  Row p has the nodes x = e + off[p]
+    from its edge e, the density folded into w[p].  As the measure is even,
+    it also stands for the mirror image of the row of -e: factor f of row p
+    sees the point pos[p, f] from e (f = 0 for z, f = 1 for -z), Im z = y,
+    and leaves out the nodes cut[0, p, f] up to cut[1, p, f] of that point.
+    Each node takes one log of the product over the factors of its squared
+    distances (off - pos)^2 + y^2, exact next to the edge.  They are taken
+    in units of `unit`, a power of two near the outer edge of the support,
+    so that the product neither overflows nor underflows; log unit per unit
+    of weight kept is added back."""
+    (n_rows, n_factors, m), n = pos.shape, off.shape[-1]
+    off, pos, y2 = off / unit, pos / unit, (y / unit) ** 2
+    # flat indices of the nodes left out, in (row, factor, point, node) order
+    left_out = _flat_ranges(cut[0].ravel(), cut[1].ravel(), n)
+    out, buf = np.zeros(m), np.empty((n_factors, min(m, _Z_CHUNK), n))
+    for c in range(0, m, _Z_CHUNK):
+        k = min(m - c, _Z_CHUNK)
+        imag = y2[c:c + k, None] if y2[c:c + k].any() else None
+        for p in range(n_rows):
+            for f, d2 in enumerate(buf[:, :k]):
+                np.subtract(off[p], pos[p, f, c:c + k, None], out=d2)
+                d2 *= d2
+                if imag is not None:
+                    d2 += imag
+                # log 1 = 0: a node left out adds nothing
+                first = ((p * n_factors + f) * m + c) * n
+                lo, hi = np.searchsorted(left_out, (first, first + k * n))
+                d2.reshape(-1)[left_out[lo:hi] - first] = 1.0
+            d2 = buf[0, :k]
+            for f in range(1, n_factors):
+                d2 *= buf[f, :k]
+            d2 = np.log(d2, out=d2)
+            d2 *= w[p]
+            out[c:c + k] += d2.sum(axis=-1)
+    out *= 0.5
+    if unit != 1.0:
+        cum = np.zeros((n_rows, n + 1))
+        np.cumsum(w, axis=-1, out=cum[:, 1:])
+        p = np.arange(n_rows)[:, None, None]
+        kept = n_factors * w.sum() - (cum[p, cut[1]] - cum[p, cut[0]]).sum(axis=(0, 1))
+        out += math.log(unit) * kept
     return out
 
 
-def _graded_toward_zero(span, target):
-    """A rule on [0, span] (one row per entry of span) for a log singularity
-    within `target` of 0, as (r, w, w_log): 16-node panels halve toward 0
-    until the innermost, [0, h], is no longer than target (at most
-    _MAX_DEPTH times), and [0, h] takes the _LOG_ORDER nodes of
-    _product_log_rule, first in each row.  w holds the plain weights, w_log
-    the product weights of log r on [0, h]."""
+@lru_cache(maxsize=64)
+def _graded_unit(depth: int):
+    """Nodes and weights on [0, 1] for a log singularity at 0 (read-only,
+    cached): the _LOG_ORDER nodes of _product_log_rule on [0, 2^-depth]
+    first, then 16-node panels [2^-i, 2^(1-i)], i = depth, ..., 1."""
+    u, w_in, _ = _product_log_rule()
+    r, w = composite_nodes(0.5 ** np.arange(depth, -1, -1.0), 16)
+    r, w = np.concatenate((np.ldexp(u, -depth), r)), np.concatenate((np.ldexp(w_in, -depth), w))
+    r.flags.writeable = w.flags.writeable = False
+    return r, w
+
+
+def _graded_groups(span, target):
+    """Rules on [0, span] (one row per entry of span) for a log singularity
+    within `target` of 0: panels halve toward 0 until the innermost, [0, h],
+    is no longer than target (at most _MAX_DEPTH times), and [0, h] takes
+    the product rule.  Yields, per number of halvings, (rows, r, w, w_log):
+    the entries of span that take it, their nodes and plain weights
+    (_graded_unit scaled by span, [0, h] first), and the product weights of
+    log r on [0, h]."""
     # a difference of logarithms: span / target overflows for a subnormal target
     depth = np.clip(np.ceil(np.log2(span) - np.log2(target)), 0, _MAX_DEPTH).astype(int)
-    h = span * 0.5 ** depth
-    # zero-width panels at h pad the rows that need fewer halvings
-    breaks = np.maximum(geometric_breaks(span, depth), h[..., None])
-    r, w = composite_nodes(breaks, 16)
-    u, w_in, v_in = _product_log_rule()
-    h = h[..., None]
-    r = np.concatenate((h * u, r), axis=-1)
-    w = np.concatenate((h * w_in, w), axis=-1)
-    return r, w, h * (w_in * np.log(h) + v_in)
+    _, w_in, v_in = _product_log_rule()
+    for d in np.flatnonzero(np.bincount(depth)):
+        rows = np.flatnonzero(depth == d)
+        (r, w), s = _graded_unit(int(d)), span[rows, None]
+        h = np.ldexp(s, -d)
+        yield rows, s * r, s * w, h * (w_in * np.log(h) + v_in)
 
 
-def _edge_panel_sums(tau: float, edge: float, s, h: float, z: np.ndarray) -> np.ndarray:
+def _edge_panel_sums(tau: float, edge: float, s: float, h: float, pos, y) -> np.ndarray:
     """Quadrature of log|z - x| over the innermost panel of an edge rule,
-    x = edge + s t^2 for t in [0, h], for points z off the piece within h^2
-    of the edge, where the kernel is singular at |t| = sqrt|z - edge|: panels
-    halve toward t = 0 down to that distance, and a point on the edge takes
-    log t^2 by product weights (2t rho(t^2) is smooth in t at every edge)."""
-    zeta = z - edge
-    at_edge = np.abs(zeta) == 0.0
+    x = edge + s t^2 for t in [0, h], for points z = edge + pos + i y off
+    the piece within h^2 of the edge, where the kernel is singular at
+    |t| = sqrt|z - edge|: panels halve toward t = 0 down to that distance,
+    and a point on the edge takes log t^2 by product weights (2t rho(t^2) is
+    smooth in t at every edge)."""
+    dist = np.hypot(pos, y)
+    at_edge, out = dist == 0.0, np.empty(dist.shape)
     # a point on the edge needs no halving: the product weights take it
-    t, w, w_log = _graded_toward_zero(np.full(z.shape, h),
-                                      np.sqrt(np.where(at_edge, h * h, np.abs(zeta))))
-    off = t * t
-    w *= 0.5 * np.log((s * off - zeta.real[:, None]) ** 2 + (zeta.imag ** 2)[:, None])
-    w[:, :_LOG_ORDER] = np.where(at_edge[:, None], 2.0 * w_log, w[:, :_LOG_ORDER])
-    return np.sum(2.0 * t * w * _density_offset(tau, edge, off), axis=-1)
+    for rows, t, w, w_log in _graded_groups(np.full(dist.shape, h),
+                                            np.sqrt(np.where(at_edge, h * h, dist))):
+        off = t * t
+        w *= np.log(np.hypot(s * off - pos[rows, None], y[rows, None]))
+        w[:, :_LOG_ORDER] = np.where(at_edge[rows, None], 2.0 * w_log, w[:, :_LOG_ORDER])
+        out[rows] = np.sum(2.0 * t * w * _density_offset(tau, edge, off), axis=-1)
+    return out
 
 
-def _span_rule(far: float, half: float, delta, j, z: np.ndarray):
-    """Offsets from the nearer edge, and weights with log|z - x| folded in,
-    of the rule for the span a point of z on rung j, delta from that edge,
-    leaves out of the shared row: from the start of D_j to the far end of
-    D_(j-2), or of the far edge's D_1 if j <= 2.  It splits at x* = Re z,
-    each side graded toward x* down to delta/2 toward the edge and delta
-    away from it, or |Im z| if less; the edges lie delta/4 or more away."""
-    to_far = np.where(j >= 3, np.ldexp(half, 3 - j) - delta, np.abs(far - z.real) - 0.5 * half)
-    target = np.stack((0.5 * delta, delta))
-    r, w, w_log = _graded_toward_zero(
-        np.stack((delta - np.ldexp(half, -j), to_far)),
-        np.where(z.imag == 0.0, target, np.minimum(target, np.abs(z.imag))))
-    y2 = (z.imag ** 2)[:, None]
-    w *= 0.5 * np.log(r * r + y2)
-    w[..., :_LOG_ORDER] = np.where(y2 == 0.0, w_log, w[..., :_LOG_ORDER])
-    return delta[:, None] + np.array([-1.0, 1.0])[:, None, None] * r, w
+def _span_rule(half: float, delta, j, y):
+    """Rules for the spans that points on a piece leave out of the shared
+    row, as groups (point, offsets, weights) of one depth each: offsets from
+    the nearer edge, and weights with log|z - x| folded in.  A point on rung
+    j, delta from that edge, Im z = y, leaves out from the start of D_j to
+    the far end of D_(j-2), or if j <= 2 of the far edge's D_1, 3L/2 from
+    the nearer edge in the width 2L of the piece that the density takes.
+    The span splits at x* = Re z, each side graded toward x* down to
+    delta/2 toward the edge and delta away from it, or |y| if less; the
+    edges lie delta/4 or more away."""
+    to_far = np.where(j >= 3, np.ldexp(half, 3 - j), 1.5 * half) - delta
+    point, side = np.tile(np.arange(delta.size), 2), np.repeat([-1.0, 1.0], delta.size)
+    target, y = np.concatenate((0.5 * delta, delta)), y[point]
+    groups = []
+    for rows, r, w, w_log in _graded_groups(
+            np.concatenate((delta - np.ldexp(half, -j), to_far)),
+            np.where(y == 0.0, target, np.minimum(target, np.abs(y)))):
+        k, y_rows = point[rows], y[rows, None]
+        # hypot(r, 0) is r; a squared distance could underflow
+        w *= np.log(np.hypot(r, y_rows) if y_rows.any() else r)
+        np.copyto(w[:, :_LOG_ORDER], w_log, where=y_rows == 0.0)
+        groups.append((k, delta[k, None] + side[rows, None] * r, w))
+    return groups
 
 
 def _log_kernel_sums(tau: float, sup: Support, z: np.ndarray) -> np.ndarray:
@@ -313,68 +365,86 @@ def _log_kernel_sums(tau: float, sup: Support, z: np.ndarray) -> np.ndarray:
 
     Each piece of half-length L has a row shared by the points of a block of
     _BLOCK: _unit_row(_RUNGS) from each edge, scaled by L, the density
-    folded in once.  A point on the piece, delta from its nearer edge, on
-    the rung j with L 2^-j <= delta/2 < L 2^(1-j), leaves out D_j, D_(j-1),
-    D_(j-2) and (j <= 2) the far edge's D_1 for _span_rule, so that every
-    panel it keeps lies at least half its length away; past rung _RUNGS it
-    takes the row of its rung for the nearer edge.  A point off the piece
-    near an edge trades the innermost edge panel (_edge_panel_sums).  The
-    density depends on an edge only through |edge| (the measure is even):
-    one call per |edge| serves rows and spans.  A point's sum moves with
-    the other points of its block by an ulp or two: rows graded toward a
-    point are padded to the deepest of the block, which changes the order
-    of their sums."""
+    folded in once.  The measure is even, so the row of an edge e is the
+    mirror image of the row of -e: the rows of the right piece with e > 0
+    serve every point twice, as z and as -z, and one _edge_sums call takes
+    one log per pair of mirror nodes.  A point on a piece, delta from its
+    nearer edge, on the rung j with L 2^-j <= delta/2 < L 2^(1-j), leaves
+    out D_j, D_(j-1), D_(j-2) and (j <= 2) the far edge's D_1 for
+    _span_rule, so that every panel it keeps lies at least half its length
+    away; past rung _RUNGS it takes the row of its rung for the nearer
+    edge, through the same kernel.  A point off the piece near an edge
+    trades the innermost edge panel (_edge_panel_sums).  The density
+    depends on an edge only through |edge|: one call per |edge| serves rows
+    and spans.  On two cuts, a point past the midpoint of a piece lies
+    w - (1 - |x|) from its inner edge (_beyond_beta), and spans are laid
+    out in the width w of the piece from kc: the double beta misses the
+    inner edge by up to half an ulp.  Every rule a point takes is its own,
+    so its sum does not depend on the other points of its block."""
     if z.size > _BLOCK:
         return np.concatenate([_log_kernel_sums(tau, sup, z[i:i + _BLOCK])
                                for i in range(0, z.size, _BLOCK)])
-    (off_unit, w_unit), s = _unit_row(_RUNGS), np.array([1.0, -1.0])[:, None, None]
-    n, size = off_unit.size - 16 * _RUNGS, off_unit.size  # D_i starts at n + 16 (depth - i)
-    total, pieces, spans, folded = np.zeros(z.shape), [], {}, {}
-    half = sup.half_length  # from kc: hi - lo rounds the two-cut width away
-    for lo, hi in sup.pieces:
-        inside = (lo < z.real) & (z.real < hi)
-        cut = np.zeros((2, 2, z.size), int)  # nodes left out: (start, stop), edge, point
-        on, upper = np.flatnonzero(inside), np.zeros(0, int)
-        if on.size:
-            upper = (z.real[on] > 0.5 * (lo + hi)).astype(int)
-            delta = np.where(upper, hi - z.real[on], z.real[on] - lo)
-            # the rung from the exponent of delta/2L, which rounding can carry up
-            j = 1 - np.frexp(0.5 * delta / half)[1]
-            j += np.ldexp(half, -j) > 0.5 * delta
-            start = n + 16 * (_RUNGS - j)
-            cut[:, upper, on] = np.where(j > _RUNGS, [[0], [size]],
-                                         (start, start + 16 * np.minimum(j, 3)))
-            cut[:, 1 - upper, on] = np.where(j <= 2, [[size - 16], [size]], 0)
-        h = math.sqrt(half * 0.5 ** (3 * _RUNGS))  # innermost edge panel: [0, h] in t
-        for k, (near, far) in enumerate(((lo, hi), (hi, lo))):
-            close = (np.abs(z - near) < h * h) & ~inside
-            if close.any():
-                cut[1, k, close] = 16
-                total[close] += _edge_panel_sums(tau, near, s[k], h, z[close])
-            group = spans.setdefault((abs(near), half), (near, []))[1]
-            pts = upper == k
-            if not pts.any():
-                continue
-            group.append((on[pts], *_span_rule(far, half, delta[pts], j[pts], z[on[pts]])))
-            # past rung _RUNGS, the row of the point's rung, less D_rung .. D_(rung-2)
-            for rung in np.unique(j[pts & (j > _RUNGS)]) if j[pts].max() > _RUNGS else ():
-                row, w_row = (half * a for a in _unit_row(rung))
-                w_row *= _density_offset(tau, near, row)
-                idx = on[pts & (j == rung)]
-                skip = np.broadcast_to([[n], [n + 48]], (2, idx.size))
-                total[idx] += _edge_sums(near, row, s[k], w_row, z[idx], skip)
-        pieces.append((np.array([lo, hi])[:, None, None], half, cut))
-    for key, (edge, group) in spans.items():
-        rho = _density_offset(tau, edge, np.concatenate(
-            [key[1] * off_unit] + [off.ravel() for _, off, _ in group]))
-        folded[key], end = key[1] * w_unit * rho[:size], size
-        for idx, off, w in group:
+    (off_unit, w_unit), m = _unit_row(_RUNGS), z.size
+    size = off_unit.size
+    n = size - 16 * _RUNGS  # D_i starts at n + 16 (_RUNGS - i)
+    # half from kc: hi - lo rounds the two-cut width away
+    half, (lo, hi), y = sup.half_length, sup.pieces[-1], z.imag
+    rows = ((lo, 1.0), (hi, -1.0)) if lo > 0.0 else ((hi, -1.0),)
+    h = math.sqrt(half * 0.5 ** (3 * _RUNGS))  # innermost edge panel: [0, h] in t
+    # the points z and their mirror images -z, flat: a point of z is k mod m
+    q = np.concatenate((z.real, -z.real))
+    pos_lo = _beyond_beta(sup, q) if lo > 0.0 else q - lo
+    pos = np.stack([pos_lo if e == lo else q - hi for e, _ in rows])  # from each row's edge
+    inside = (lo < q) & (q < hi)
+    on = np.flatnonzero(inside)
+    # z takes a tie at the midpoint to the lower edge, so -z to the upper
+    upper = (q[on] > 0.5 * (lo + hi)) | ((q[on] == 0.5 * (lo + hi)) & (on >= m))
+    # from the nearer edge, at most L: on two cuts beta's rounding can put the
+    # double midpoint ~1e-16 off the piece's, most of L past tau ~ 1e14
+    delta = np.minimum(np.where(upper, hi - q[on], pos_lo[on]), half)
+    # the rung from the exponent of delta/2L, which rounding can carry up
+    j = 1 - np.frexp(0.5 * delta / half)[1]
+    j += np.ldexp(half, -j) > 0.5 * delta
+    start = n + 16 * (_RUNGS - j)
+    near_cut = np.where(j > _RUNGS, [[0], [size]], (start, start + 16 * np.minimum(j, 3)))
+    far_cut = np.where(j <= 2, [[size - 16], [size]], 0)
+    cut = np.zeros((2, len(rows), 2 * m), int)  # nodes left out: (start, stop), row, point
+    total, spans, yy = np.zeros(m), [], np.concatenate((y, y))
+    for p, (e, s) in enumerate(rows):
+        near = upper == (e == hi)
+        cut[:, p, on] = np.where(near, near_cut, far_cut)
+        spans.append((on[near], delta[near], j[near]))
+        close = np.flatnonzero((np.hypot(pos[p], yy) < h * h) & ~inside)
+        if close.size:
+            cut[1, p, close] = 16
+            np.add.at(total, close % m, _edge_panel_sums(tau, e, s, h, pos[p, close], yy[close]))
+    unit = 2.0 ** math.ceil(math.log2(hi))  # the outer edge, rounded up to a power of two
+    folded, points, sums = [], [np.zeros(0, int)], [np.zeros(0)]
+    for p, (e, s) in enumerate(rows):
+        flat, delta, j = spans[p]
+        idx = flat % m
+        groups = _span_rule(half, delta, j, y[idx])
+        rho = _density_offset(tau, e, np.concatenate(
+            [half * off_unit] + [off.ravel() for _, off, _ in groups]))
+        folded.append(half * w_unit * rho[:size])
+        end = size
+        for k, off, w in groups:
+            w *= rho[end:end + off.size].reshape(off.shape)
             end += off.size
-            total[idx] += np.sum(w * rho[end - off.size:end].reshape(off.shape), axis=(0, -1))
-    for edges, half, cut in pieces:
-        w = np.stack([folded[abs(edge), half] for edge in edges.flat])[:, None]
-        total += np.sum(_edge_sums(edges, half * off_unit, s, w, z, cut), axis=0)
-    return total
+            points.append(idx[k])
+            sums.append(w.sum(axis=-1))
+        # past rung _RUNGS, the row of the point's rung, less D_rung .. D_(rung-2)
+        for rung in np.flatnonzero(np.bincount(j[j > _RUNGS])):
+            row, w_row = (half * a for a in _unit_row(int(rung)))
+            w_row *= _density_offset(tau, e, row)
+            k = j == rung
+            skip = np.broadcast_to(np.array([n, n + 48])[:, None, None, None], (2, 1, 1, k.sum()))
+            total[idx[k]] += _edge_sums((s * row)[None], w_row[None], pos[p, flat[k]][None, None],
+                                        y[idx[k]], skip, unit)
+    total += np.bincount(np.concatenate(points), np.concatenate(sums), minlength=m)
+    off = np.array([s for _, s in rows])[:, None] * (half * off_unit)
+    return total + _edge_sums(off, np.stack(folded), pos.reshape(len(rows), 2, m), y,
+                              cut.reshape(2, len(rows), 2, m), unit)
 
 
 def potential_quad(tau: float, z):
@@ -387,14 +457,15 @@ def potential_quad(tau: float, z):
     ~3e-15 off it, 2e-13 at complex points within 1e-2 of an edge;
     two-cut, U + tau V stays within 3e-13 of omega on the support from
     tau = 2 to 1e3.  The verification route for the closed forms, and the
-    only potential route in the repulsive regime.  From |z| = 1e100 on the
-    value is -log|z|, exact.
+    only potential route in the repulsive regime.  From |z| = 1e50 times
+    the outer edge of the support on (1 on two cuts and the full interval,
+    beta on one cut) the value is -log|z|, exact.
     """
     flat, shape = _points(z, "potential_quad")
-    out = np.empty(flat.shape)
-    far = np.abs(flat) >= _FAR_POINT
+    sup, out = support(tau), np.empty(flat.shape)
+    far = np.abs(flat) >= _FAR_POINT * sup.pieces[-1][1]
     out[far] = -np.log(np.abs(flat[far]))
-    out[~far] = -_log_kernel_sums(tau, support(tau), flat[~far])
+    out[~far] = -_log_kernel_sums(tau, sup, flat[~far])
     return _descalar(out.reshape(shape))
 
 

@@ -6,9 +6,10 @@ tests draw tau across the three regimes and arrays of points off the cuts,
 and check that the array call is the elementwise scalar call, that the
 Cauchy transform is conjugate-symmetric and odd, that one bad entry makes
 the whole call raise DomainError, and that a scalar comes back as a Python
-float or complex.  Over tau they check that the measure has unit mass,
-that omega is continuous where its formula changes, and that its two
-two-cut routes agree from the critical tau to 1e14.
+float or complex.  The quadrature potential takes up to 300 points on and
+off the cuts, across its chunks and blocks.  Over tau they check that the
+measure has unit mass, that omega is continuous where its formula changes,
+and that its two two-cut routes agree from the critical tau to 1e14.
 """
 
 import math
@@ -23,7 +24,7 @@ from logeq.equilibrium import (TAU_CRITICAL, _omega_repulsive,
                                lebesgue_cauchy, lebesgue_g, lebesgue_potential,
                                omega, potential, support)
 from logeq.errors import DomainError
-from logeq.oracle import measure_quadrature
+from logeq.oracle import measure_quadrature, potential_quad
 from logeq.specfun import complete_E
 
 # Deterministic runs with no example database: the suite stays
@@ -105,6 +106,31 @@ def test_cauchy_is_conjugate_symmetric_and_odd(tau, pts, far):
     # small (near the centre of the two-cut gap): tau atanh(1/z) and its match
     scale = (1.0 + abs(tau)) / np.maximum(np.abs(z), 1.0)
     assert np.all(np.abs(cauchy(tau, -z) + c) <= 1e-14 * np.maximum(np.abs(c), scale))
+
+
+# Sizes around the 128-point chunks and 256-point blocks of potential_quad
+SEAM_SIZES = st.one_of(st.sampled_from([127, 128, 129, 255, 256, 257, 300]), st.integers(1, 300))
+
+
+@settings(PROPERTY, max_examples=10)
+@pytest.mark.parametrize("taus", [st.floats(-60.0, -1.001), st.floats(-1.0, 1.75),
+                                  st.floats(1.76, 1e3)])
+@given(data=st.data())
+def test_potential_quad_batch_is_pointwise_across_chunks_and_blocks(taus, data):
+    # up to 300 points on and off the cuts, on the axis, next to it and off
+    # it: a point's value is the one it has alone, and U is even, bit for
+    # bit on one piece
+    tau, n = data.draw(taus), data.draw(SEAM_SIZES)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    z = rng.uniform(-1.5, 1.5, n) + 1j * rng.choice([0.0, 0.0, 1e-12, 1e-3, -0.3], n)
+    batch = potential_quad(tau, z)
+    alone = np.array([potential_quad(tau, p) for p in z])
+    assert np.all(np.abs(batch - alone) <= 1e-15 * np.maximum(1.0, np.abs(alone)))
+    mirrored = potential_quad(tau, -z)
+    if tau <= TAU_CRITICAL:
+        assert np.array_equal(mirrored, batch)
+    else:
+        assert np.all(np.abs(mirrored - batch) <= 2.0 * np.spacing(np.abs(batch)))
 
 
 BAD_POINTS = (complex(math.nan, 1.0), complex(math.inf, 0.0), complex(0.3, -math.inf))

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from logeq._quad import composite_nodes, geometric_breaks, gl_map, gl_rule
-from logeq.equilibrium import (TAU_CRITICAL, Regime, external_field, omega,
+from logeq.equilibrium import (TAU_CRITICAL, Regime, Support, external_field, omega,
                                potential, support)
 from logeq.errors import DomainError
-from logeq.oracle import _product_log_rule, _support_grid, _unit_row, potential_quad
+from logeq.oracle import (_FAR_POINT, _product_log_rule, _support_grid, _unit_row,
+                          potential_quad)
 from logeq.specfun import integral_I, theta_rule
 
 TABULATED = (16, 24, 64, 128, 256)
@@ -46,22 +47,6 @@ def test_composite_nodes_rows_equal_gl_map_stacks():
         x_ref, w_ref = _gl_map_stack(row, 16)
         assert np.array_equal(xr, x_ref)
         assert np.array_equal(wr, w_ref)
-
-
-def test_geometric_breaks_rows_equal_scalar_calls():
-    span = np.array([0.7, 0.2, 1e-9])
-    n = np.array([34, 34, 30])
-    rows = geometric_breaks(span, n)
-    assert rows.shape == (3, 36)
-    for i in range(2):
-        assert np.array_equal(rows[i], geometric_breaks(span[i], 34))
-        assert rows[i, 1] == span[i] * 2.0 ** -34 and rows[i, -1] == span[i]
-    # the shallower row: its own breaks, after zero-width panels at 0
-    ref = geometric_breaks(span[2], 30)
-    assert np.array_equal(rows[2, 4:], ref)
-    assert np.all(rows[2, :5] == 0.0)
-    _, w = composite_nodes(rows[2], 16)
-    assert np.all(w[:4 * 16] == 0.0)
 
 
 def test_gl_rule_matches_numpy_leggauss():
@@ -253,9 +238,8 @@ def test_potential_quad_rejects_non_finite_points(z):
 
 @pytest.mark.parametrize("tau", [-2.0, 0.5, 2.0])
 def test_potential_quad_far_points(tau):
-    # From |z| = 1e100 on the potential is -log|z| to double precision; the
-    # quadrature just below that agrees, and no squared distance overflows
-    # further out.
+    # Far out the potential is -log|z| to double precision, and no squared
+    # distance overflows on the way there.
     zs = np.array([1e99, -1e100, 1e200j, 1.7e308])
     got = potential_quad(tau, zs)
     assert np.all(np.abs(got + np.log(np.abs(zs))) <= 1e-12 * np.abs(got))
@@ -401,3 +385,90 @@ def test_potential_quad_density_evaluations(monkeypatch):
         potential_quad(tau, np.linspace(-0.999 * beta, 0.999 * beta, n))
         gap.append(counts["all"])
     assert 0 < gap[0] == gap[1]
+
+
+@pytest.mark.parametrize("tau", [-2.0, -1e8, 0.5, 3.0, 1e7])
+def test_potential_quad_at_the_far_point(tau):
+    # From _FAR_POINT times the outer edge of the support on the value is
+    # -log|z|; just below it the quadrature, whose products of two squared
+    # distances stay finite, gives the same to the last digits.
+    far = _FAR_POINT * support(tau).pieces[-1][1]
+    below = far * (1.0 - 2.0 ** -20)
+    zs = np.array([below, -below, complex(0.6 * below, 0.8 * below), 1j * below,
+                   far, -far, complex(-0.6 * far, 0.8 * far)])
+    got = potential_quad(tau, zs)
+    want = -np.log(np.abs(zs))
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+@pytest.mark.parametrize("tau", [-8.0, -1e8, -1e100, -1e300])
+def test_potential_quad_on_a_narrow_cut(tau):
+    # One cut of half-width beta ~ sqrt(2/|tau|), down to 1.4e-150, where
+    # squared distances underflow: the shared rows take distances in units
+    # of a power of two near beta, the spans and edge panels take logs of
+    # distances.  U(0) = log 2 - log beta + 1 - tau log1p(1/(2 tau)), and on
+    # the support U(x) - U(0) = -tau (V(x) - V(0)), V(x) - V(0) =
+    # -x atanh x - log1p(-x^2)/2; U is even, bit for bit.
+    beta = support(tau).beta
+    u0 = math.log(2.0) - math.log(beta) + 1.0 - tau * math.log1p(0.5 / tau)
+    x = beta * np.array([0.0, 0.3, 0.77, 1.0 - 1e-10, 1.0])
+    u = potential_quad(tau, x)
+    assert abs(u[0] - u0) <= 1e-15 * abs(u0)
+    remainder = u - u[0] - tau * (x * np.arctanh(x) + 0.5 * np.log1p(-x * x))
+    assert np.max(np.abs(remainder)) <= 4.0 * np.spacing(u0)
+    zs = np.concatenate((x, beta * np.array([1.0 + 1e-12, 1.5, 1e3 + 1j, 1.0 + 1e-12 + 1e-13j])))
+    got = potential_quad(tau, zs)
+    assert np.all(np.isfinite(got)) and np.array_equal(got, potential_quad(tau, -zs))
+
+
+# U(1) on two cuts in remainder form, U(1) = log(2/k') + 1 - tau int_0^(pi/2)
+# sin phi log1p(k'^2 cos^2 phi / (2 sin phi (R + sin phi))) dphi with
+# R = sqrt(k'^2 + beta^2 sin^2 phi), k'^2 the root of E(sqrt(1 - k'^2)) =
+# 1 + 1/tau: mpmath at 40 digits.
+OUTER_EDGE_U = [(1e5, 7.6305431596756480384), (1e7, 10.069249606392695036),
+                (1e10, 13.673924076482364076), (1e12, 16.055858068721904481),
+                (1e14, 18.426596797239899706)]
+
+
+@pytest.mark.parametrize("tau, ref", OUTER_EDGE_U)
+def test_two_cut_potential_at_the_outer_edge(monkeypatch, tau, ref):
+    # The rows of the inner edges reach a point past the middle of a piece
+    # from its outer edge, w - (1 - x) with w from kc: moving beta by an
+    # ulp, which rounds it anyway, leaves the potential there where it is.
+    import logeq.oracle as oracle_mod
+    u = potential_quad(tau, 1.0)
+    assert abs(u - ref) <= 2e-15 * ref
+    sup = support(tau)
+    for direction in (math.inf, -math.inf):
+        moved = Support(sup.regime, math.nextafter(sup.beta, direction), sup.kc)
+        monkeypatch.setattr(oracle_mod, "support", lambda t: moved)
+        assert abs(potential_quad(tau, 1.0) - u) <= 1e-14 * abs(u)
+
+
+@pytest.mark.parametrize("tau", [1e13, 1.49e14, 2.1e14, 354636506318314.44])
+def test_two_cut_flatness_on_pieces_a_few_doubles_wide(tau):
+    # Past tau ~ 1e13 a piece holds a few dozen doubles or fewer, and the
+    # rounding of beta is a good part of its width: a point takes its span
+    # from the width that kc gives, as the density does, and never more
+    # than half of it from its nearer edge.  Every double of the piece and
+    # its mirror image is finite and flat to a few tau eps, the rounding
+    # of tau V.
+    lo, hi = support(tau).pieces[-1]
+    xs = [np.nextafter(lo, hi)]
+    while xs[-1] < hi and len(xs) < 100:
+        xs.append(np.nextafter(xs[-1], hi))
+    xs = np.array(xs[:-1])
+    xs = np.concatenate((xs, -xs))
+    err = np.abs(potential_quad(tau, xs) + external_field(tau, xs) - omega(tau))
+    assert np.max(err) <= 8.0 * tau * np.finfo(float).eps
+
+
+def test_the_deep_rung_path_leaves_numpy_ma_unimported():
+    # A point past rung _RUNGS picks the rows of its rung by a bincount:
+    # np.unique would import numpy.ma, ~10 ms on the first call in a process.
+    code = ("import sys; from logeq.oracle import potential_quad, verify; "
+            "potential_quad(0.5, 1 - 1e-6); verify(3.0); print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "False"
