@@ -153,7 +153,8 @@ _MAX_DEPTH = 60
 
 # Rungs of the row potential_quad shares between points: dyadic panels from
 # each edge of a piece of half-length L down to L 2^-_RUNGS, then an edge
-# rule halving as many times, its innermost panel ending at L 2^-30.
+# rule in t = sqrt(offset), which halves toward the edge at most as many
+# times (_edge_halvings).
 _RUNGS = 10
 
 
@@ -190,14 +191,16 @@ def _product_log_rule():
 
 
 @lru_cache(maxsize=64)
-def _unit_row(depth: int, order: int = 16):
+def _unit_row(depth: int, order: int = 16, halvings: int = _RUNGS):
     """Offsets from an edge, and weights, of the row of a half-piece of unit
-    length (read-only, cached): an edge rule on [0, 2^-depth] in t, the
-    offset being t^2, halving _RUNGS times toward the edge, then panels
-    D_i = [2^-i, 2^(1-i)], i = depth, ..., 1.  An abscissa would round the
-    offset away near the edge, and lose the sliver there (~sqrt(offset) of
-    mass): values are formed from offsets."""
-    t, w = graded_rule(0.5 ** (0.5 * depth), _RUNGS, order)
+    length (read-only, cached): an edge rule on [0, 2^-depth] in the offset,
+    that is on [0, 2^(-depth/2)] in t, the offset being t^2, in panels of
+    `order` nodes halving `halvings` times toward the edge, then panels
+    D_i = [2^-i, 2^(1-i)], i = depth, ..., 1, which start at node
+    order (halvings + 1).  An abscissa would round the offset away near the
+    edge, and lose the sliver there (~sqrt(offset) of mass): values are
+    formed from offsets."""
+    t, w = graded_rule(0.5 ** (0.5 * depth), halvings, order)
     d, w_d = composite_nodes(0.5 ** np.arange(depth, -1, -1.0), order)
     off, w = np.concatenate((t * t, d)), np.concatenate((2.0 * t * w, w_d))
     off.flags.writeable = w.flags.writeable = False
@@ -321,8 +324,11 @@ def _edge_panel_sums(tau: float, edge: float, s: float, h: float, pos, y) -> np.
     x = edge + s t^2 for t in [0, h], for points z = edge + pos + i y off
     the piece within h^2 of the edge, where the kernel is singular at
     |t| = sqrt|z - edge|: panels halve toward t = 0 down to that distance,
-    and a point on the edge takes log t^2 by product weights (2t rho(t^2) is
-    smooth in t at every edge)."""
+    and a point on the edge takes log t^2 by product weights.  h is no
+    wider than the density's edge layer (_edge_halvings), or it is the
+    narrowest panel, so 2t rho(t^2) is smooth in t on [0, h]: h^2 is
+    L 2^-_RUNGS at every tau but next to -1 and just above the critical
+    tau, down to L 2^-30 there."""
     dist = np.hypot(pos, y)
     at_edge, out = dist == 0.0, np.empty(dist.shape)
     # a point on the edge needs no halving: the product weights take it
@@ -360,37 +366,62 @@ def _span_rule(half: float, delta, j, y):
     return groups
 
 
+def _edge_halvings(sup: Support) -> int:
+    """Halvings toward an edge of the edge rule of potential_quad's rows, on
+    [0, t_edge] in t = sqrt(offset), t_edge = sqrt(L 2^-_RUNGS) for pieces
+    of half-length L: as many as take its innermost panel down to the width
+    in t of the density's edge layer, and at most _RUNGS.  2t rho(t^2) is
+    smooth on the full interval (no layer, no halving); on one cut it holds
+    arctan(t sqrt(2 beta - t^2)/kc), a layer kc/sqrt(2 beta) wide; on two
+    cuts sqrt(2 beta + t^2) at the inner edge, and at the outer one the
+    width ~kc of the piece in t: min(kc, sqrt(2 beta)).  The layer is thin
+    only next to tau = -1 (kc -> 0) and just above the critical tau
+    (beta -> 0)."""
+    if sup.regime is Regime.INTERMEDIATE:
+        return 0
+    if sup.regime is Regime.ATTRACTIVE:
+        layer = sup.kc / math.sqrt(2.0 * sup.beta)
+    else:
+        layer = min(sup.kc, math.sqrt(2.0 * sup.beta))
+    t_edge = math.sqrt(sup.half_length * 0.5 ** _RUNGS)
+    return min(max(math.ceil(math.log2(t_edge / layer)), 0), _RUNGS)
+
+
 def _log_kernel_sums(tau: float, sup: Support, z: np.ndarray) -> np.ndarray:
     """Quadrature of log|z - x| against the measure, for each point of z (1-D).
 
     Each piece of half-length L has a row shared by the points of a block of
-    _BLOCK: _unit_row(_RUNGS) from each edge, scaled by L, the density
-    folded in once.  The measure is even, so the row of an edge e is the
-    mirror image of the row of -e: the rows of the right piece with e > 0
-    serve every point twice, as z and as -z, and one _edge_sums call takes
-    one log per pair of mirror nodes.  A point on a piece, delta from its
-    nearer edge, on the rung j with L 2^-j <= delta/2 < L 2^(1-j), leaves
-    out D_j, D_(j-1), D_(j-2) and (j <= 2) the far edge's D_1 for
-    _span_rule, so that every panel it keeps lies at least half its length
-    away; past rung _RUNGS it takes the row of its rung for the nearer
-    edge, through the same kernel.  A point off the piece near an edge
-    trades the innermost edge panel (_edge_panel_sums).  The density
-    depends on an edge only through |edge|: one call per |edge| serves rows
-    and spans.  On two cuts, a point past the midpoint of a piece lies
-    w - (1 - |x|) from its inner edge (_beyond_beta), and spans are laid
-    out in the width w of the piece from kc: the double beta misses the
-    inner edge by up to half an ulp.  Every rule a point takes is its own,
-    so its sum does not depend on the other points of its block."""
+    _BLOCK: _unit_row(_RUNGS) from each edge, its edge rule halving
+    _edge_halvings(sup) times, scaled by L, the density folded in once.
+    The measure is even, so the row of an edge e is the mirror image of the
+    row of -e: the rows of the right piece with e > 0 serve every point
+    twice, as z and as -z, and one _edge_sums call takes one log per pair of
+    mirror nodes.  A point on a piece, delta from its nearer edge, on the
+    rung j with L 2^-j <= delta/2 < L 2^(1-j), leaves out D_j, D_(j-1),
+    D_(j-2) and (j <= 2) the far edge's D_1 for _span_rule, so that every
+    panel it keeps lies at least half its length away; past rung _RUNGS it
+    takes the row of its rung for the nearer edge, with the same halvings,
+    through the same kernel.  A point off the piece within the innermost
+    edge panel, L 2^-_RUNGS 4^-halvings from an edge, trades that panel for
+    its own graded rule (_edge_panel_sums).  The density depends on an edge
+    only through |edge|: one call per |edge| serves rows and spans.  On two
+    cuts, a point past the midpoint of a piece lies w - (1 - |x|) from its
+    inner edge (_beyond_beta), and spans are laid out in the width w of the
+    piece from kc: the double beta misses the inner edge by up to half an
+    ulp.  Every rule a point takes is its own, so its sum does not depend on
+    the other points of its block."""
     if z.size > _BLOCK:
         return np.concatenate([_log_kernel_sums(tau, sup, z[i:i + _BLOCK])
                                for i in range(0, z.size, _BLOCK)])
-    (off_unit, w_unit), m = _unit_row(_RUNGS), z.size
+    halvings, m = _edge_halvings(sup), z.size
+    off_unit, w_unit = _unit_row(_RUNGS, halvings=halvings)
     size = off_unit.size
     n = size - 16 * _RUNGS  # D_i starts at n + 16 (_RUNGS - i)
     # half from kc: hi - lo rounds the two-cut width away
     half, (lo, hi), y = sup.half_length, sup.pieces[-1], z.imag
     rows = ((lo, 1.0), (hi, -1.0)) if lo > 0.0 else ((hi, -1.0),)
-    h = math.sqrt(half * 0.5 ** (3 * _RUNGS))  # innermost edge panel: [0, h] in t
+    # innermost edge panel: [0, h] in t, [0, L 2^-_RUNGS 4^-halvings] in the offset
+    h = math.sqrt(half * 0.5 ** (_RUNGS + 2 * halvings))
     # the points z and their mirror images -z, flat: a point of z is k mod m
     q = np.concatenate((z.real, -z.real))
     pos_lo = _beyond_beta(sup, q) if lo > 0.0 else q - lo
@@ -435,10 +466,13 @@ def _log_kernel_sums(tau: float, sup: Support, z: np.ndarray) -> np.ndarray:
             sums.append(w.sum(axis=-1))
         # past rung _RUNGS, the row of the point's rung, less D_rung .. D_(rung-2)
         for rung in np.flatnonzero(np.bincount(j[j > _RUNGS])):
-            row, w_row = (half * a for a in _unit_row(int(rung)))
+            row, w_row = _unit_row(int(rung), halvings=halvings)
+            start = row.size - 16 * rung  # D_rung starts after the edge rule
+            row, w_row = half * row, half * w_row
             w_row *= _density_offset(tau, e, row)
             k = j == rung
-            skip = np.broadcast_to(np.array([n, n + 48])[:, None, None, None], (2, 1, 1, k.sum()))
+            skip = np.broadcast_to(np.array([start, start + 48])[:, None, None, None],
+                                   (2, 1, 1, k.sum()))
             total[idx[k]] += _edge_sums((s * row)[None], w_row[None], pos[p, flat[k]][None, None],
                                         y[idx[k]], skip, unit)
     total += np.bincount(np.concatenate(points), np.concatenate(sums), minlength=m)
@@ -451,7 +485,11 @@ def potential_quad(tau: float, z):
     """Logarithmic potential of the equilibrium measure, by quadrature only.
 
     z is a finite point (giving a float) or an array of them (giving an
-    array of its shape); the rules are those of _log_kernel_sums.  Against
+    array of its shape); the rules are those of _log_kernel_sums.  The edge
+    rule they share is graded to the density's edge layer: 176 nodes per
+    edge, of them 16 in t = sqrt(offset) next to the edge, except next to
+    tau = -1 and just above the critical tau, where it halves toward the
+    edge up to _RUNGS times, 336 nodes in all (_edge_halvings).  Against
     the closed forms (tau from -8 to 2/(pi - 2)) the error is
     ~3e-16 max(1, |tau|) on the support, an ulp from an edge too, and
     ~3e-15 off it, 2e-13 at complex points within 1e-2 of an edge;

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logeq.equilibrium import (TAU_CRITICAL, _omega_repulsive,
+from logeq.equilibrium import (TAU_CRITICAL, Regime, _omega_repulsive,
                                cauchy, density, external_field, g_function,
                                lebesgue_cauchy, lebesgue_g, lebesgue_potential,
                                omega, potential, support)
@@ -197,6 +197,41 @@ WIDE_TAUS = st.one_of(st.floats(0.0005, 4.0).map(lambda e: -10.0 ** e),
 @given(tau=WIDE_TAUS)
 def test_unit_mass(tau):
     assert abs(measure_quadrature(tau) - 1.0) <= 1e-10
+
+
+# The two-cut taus start 3e-4 above the critical tau: the second derivative
+# of omega jumps there, and the central difference below must not straddle it.
+CAPACITY_TAUS = st.one_of(st.floats(0.0005, 4.0).map(lambda e: -10.0 ** e),
+                          st.floats(-1.0, 1.75),
+                          st.floats(-3.5, 5.0).map(lambda e: TAU_CRITICAL + 10.0 ** e))
+
+
+@PROPERTY
+@given(tau=CAPACITY_TAUS)
+def test_omega_less_tau_times_its_slope_is_the_robin_constant(tau):
+    # As the mass grows, the measure grows by the Robin measure of its
+    # support (Buyarov-Rakhmanov), so omega - tau omega' = L = log(1/cap):
+    # log 2 on the full interval, log(2/beta) on one cut, log(2/k') on two.
+    # The two sides come from different code: omega from its routes, L from
+    # the endpoint alone.  omega' is the central difference of step
+    # h = delta max(1, |tau|), which errs by h^2 |omega'''|/6 at most.  From
+    # the identity, tau^3 omega''' = 2 dL/ds - d^2L/ds^2 in s = log|tau|:
+    # 0 on the full interval, (2 kc^2 + 3 kc - 1)/(1 + kc)^2 on one cut and
+    # between 1.03 and 1.53 on two, so tau times the difference errs by at
+    # most delta^2 M/6 with M = 2.  Omega's own error e, 2e-15 of
+    # max(1, |omega|) (its frozen-reference bound), adds e (1 + 1/delta).
+    sup, delta = support(tau), 1e-4
+    h = delta * max(1.0, abs(tau))
+    w, right, left = omega(tau), omega(tau + h), omega(tau - h)
+    if sup.regime is Regime.INTERMEDIATE:
+        robin = math.log(2.0)
+    elif sup.regime is Regime.ATTRACTIVE:
+        robin = math.log(2.0 / sup.beta)
+    else:
+        robin = math.log(2.0 / sup.kc)
+    e = 2e-15 * max(1.0, abs(w), abs(right), abs(left))
+    bound = delta ** 2 * 2.0 / 6.0 + e * (1.0 + 1.0 / delta)
+    assert abs(w - tau * (right - left) / (2.0 * h) - robin) <= bound
 
 
 # beta^2 = 0.9 (tau ~ 9.55), inside the two-cut range, where one formula

@@ -18,8 +18,8 @@ from logeq._quad import composite_nodes, geometric_breaks, gl_map, gl_rule
 from logeq.equilibrium import (TAU_CRITICAL, Regime, Support, external_field, omega,
                                potential, support)
 from logeq.errors import DomainError
-from logeq.oracle import (_FAR_POINT, _product_log_rule, _support_grid, _unit_row,
-                          potential_quad)
+from logeq.oracle import (_FAR_POINT, _RUNGS, _edge_halvings, _product_log_rule,
+                          _support_grid, _unit_row, potential_quad)
 from logeq.specfun import integral_I, theta_rule
 
 TABULATED = (16, 24, 64, 128, 256)
@@ -194,6 +194,42 @@ def test_unit_row_integrates_polynomials(order):
                 assert abs(got - exact) <= 1e-14 * exact, (depth, half, k)
 
 
+@pytest.mark.parametrize("halvings", [0, 3, 10])
+def test_unit_row_layout_follows_its_halvings(halvings):
+    # the edge rule takes 16 (halvings + 1) nodes below 2^-depth, and D_depth
+    # starts right after it, for the shared row and for deep rows alike
+    for depth in (10, 11, 31):
+        off, w = _unit_row(depth, halvings=halvings)
+        start = 16 * (halvings + 1)
+        assert off.size == start + 16 * depth
+        assert off[start - 1] < 0.5 ** depth < off[start]
+        assert abs(np.sum(w) - 1.0) <= 1e-15
+
+
+# Both ends of each slot of the verify workload: intermediate, one-cut and
+# two-cut, the last one tau in [9.5, 11.5)
+VERIFY_SLOT_ENDS = (-0.95, -0.3, 0.4, 1.1, 1.7, -1.6, -1.1, -3.0, -6.0, -12.0,
+                    1.9, 2.8, 4.0, 5.5, 7.0, 9.5, 11.5)
+
+
+@pytest.mark.parametrize("tau", VERIFY_SLOT_ENDS)
+def test_edge_rule_takes_no_halving_at_the_verify_taus(tau):
+    # the density's edge layer is no thinner than the edge rule's one panel:
+    # 176 nodes per edge in the shared row
+    halvings = _edge_halvings(support(tau))
+    assert halvings == 0
+    assert _unit_row(_RUNGS, halvings=halvings)[0].size == 176
+
+
+@pytest.mark.parametrize("tau", [-1.001, -1.0 - 1e-6, TAU_CRITICAL + 1e-9, TAU_CRITICAL + 1e-12])
+def test_edge_rule_halves_where_the_edge_layer_is_thin(tau):
+    # next to tau = -1 kc -> 0, just above the critical tau beta -> 0
+    halvings = _edge_halvings(support(tau))
+    assert 0 < halvings <= _RUNGS
+    if tau == -1.0 - 1e-6:
+        assert halvings == _RUNGS
+
+
 def _probe_points(tau):
     pieces = support(tau).pieces
     pts = []
@@ -276,6 +312,26 @@ def test_potential_quad_next_to_the_axis(tau):
         z = xs + 1j * eps
         err = np.abs(potential_quad(tau, z) - potential(tau, z))
         assert np.max(err) <= 1e-10, eps
+
+
+@pytest.mark.parametrize("tau", [-2.0, -0.5, 0.5])
+def test_potential_quad_off_an_edge_within_its_edge_panel(tau):
+    # With no halving, the innermost edge panel reaches L 2^-10 from the
+    # edge: a point off the piece between L 2^-30 and L 2^-10 of an edge
+    # takes its own graded rule there in place of the panel.  Real points,
+    # points on the normal through the edge and points at 45 and 17 degrees
+    # outward, against the closed form, to its off-support accuracy.
+    sup = support(tau)
+    assert _edge_halvings(sup) == 0
+    d = sup.half_length * 2.0 ** -np.arange(10.5, 30.5, 0.75)
+    z = []
+    for e, s in ((sup.pieces[0][0], -1.0), (sup.pieces[0][1], 1.0)):
+        for turn in (1.0, np.exp(0.25j * np.pi), np.exp(0.3j), 1j, -1j):
+            z.append(e + s * d * turn)
+    z = np.concatenate(z)
+    ref = potential(tau, z)
+    err = np.abs(potential_quad(tau, z) - ref)
+    assert np.max(err / np.maximum(1.0, np.abs(ref))) <= 3e-15
 
 
 def test_two_cut_flatness_next_to_the_edges():
