@@ -19,30 +19,27 @@ share; `cli` a command-line front end.
 from .equilibrium import (TAU_CRITICAL, EquilibriumReport, Regime, Support,
                           cauchy, classify_regime, density, edge_coefficient,
                           external_field, g_function, lebesgue_cauchy,
-                          lebesgue_g, lebesgue_potential, omega,
-                          phi_joukowski, potential, report,
-                          solve_beta_repulsive, sqrt_cut, support)
+                          lebesgue_g, lebesgue_potential, omega, potential,
+                          report, solve_beta_repulsive, sqrt_cut, support)
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .oracle import (DiscreteSolution, GridMeasure, VerificationReport,
-                     discrete_minimize, measure_quadrature, potential_quad,
-                     pv_integral, verify)
+                     discrete_minimize, measure_quadrature, potential_quad, verify)
 from .series import (CoeffTable, SeriesResult, c_quadrature, c_recurrence,
-                     check_initial_coeff, omega_integral, omega_series)
-from .specfun import complete_E, complete_K, integral_I
+                     omega_integral, omega_series)
+from .specfun import complete_E, integral_I
 
 __all__ = [
     "TAU_CRITICAL",
     "Regime", "Support", "EquilibriumReport",
-    "classify_regime", "solve_beta_repulsive", "support",
-    "sqrt_cut", "phi_joukowski",
+    "classify_regime", "solve_beta_repulsive", "support", "sqrt_cut",
     "lebesgue_g", "lebesgue_cauchy", "lebesgue_potential", "external_field",
     "density", "edge_coefficient", "cauchy", "g_function", "potential",
     "omega", "report",
-    "CoeffTable", "SeriesResult", "c_quadrature", "check_initial_coeff",
-    "c_recurrence", "omega_series", "omega_integral",
-    "GridMeasure", "DiscreteSolution", "VerificationReport", "pv_integral",
+    "CoeffTable", "SeriesResult", "c_quadrature", "c_recurrence",
+    "omega_series", "omega_integral",
+    "GridMeasure", "DiscreteSolution", "VerificationReport",
     "measure_quadrature", "potential_quad", "discrete_minimize", "verify",
-    "complete_K", "complete_E", "integral_I",
+    "complete_E", "integral_I",
     "DomainError", "ConsistencyError", "ConvergenceError",
 ]
 

@@ -216,12 +216,6 @@ def sqrt_cut(z, a: float):
     return _descalar(_sqrt_cut_arr(flat, a).reshape(shape))
 
 
-def phi_joukowski(z):
-    """Inverse Joukowski map z + (z^2 - 1)^{1/2}, mapping C \\ [-1,1] to |w| > 1."""
-    flat, shape = _points(z, "phi_joukowski")
-    return _descalar((flat + _sqrt_cut_arr(flat, 1.0)).reshape(shape))
-
-
 def _points(z, what: str, cuts=()):
     """z as a flat complex array (a scalar runs through the array code too)
     and its shape.  DomainError if an entry is not finite or exactly on a

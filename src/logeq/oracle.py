@@ -3,11 +3,10 @@
 Nothing in this module reuses the closed-form potential or the series
 route it is checking: integrals are evaluated by singularity-aware
 quadrature of the density (product integration at the log singularity of
-the potential, good to ~1e-15 against the closed forms), principal values
-by analytic subtraction, and the equilibrium data (beta, omega) are
-rediscovered from the variational definition alone: the discrete energy
-is minimized over the probability simplex by one active-set loop of KKT
-solves.
+the potential, good to ~1e-15 against the closed forms), and the
+equilibrium data (beta, omega) are rediscovered from the variational
+definition alone: the discrete energy is minimized over the probability
+simplex by one active-set loop of KKT solves.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._quad import composite_nodes, gl_map, gl_rule, graded_rule
+from ._quad import composite_nodes, gl_rule, graded_rule
 from .equilibrium import (Regime, Support, _beyond_beta, _density_offset,
                           _descalar, _omega_repulsive, _points, cauchy,
                           classify_regime, density, external_field, omega,
@@ -86,45 +85,6 @@ class VerificationReport:
                 and self.inequality_margin >= -1e-9
                 and self.sp_error <= 1e-4
                 and self.cross_route_omega_spread <= spread_tol)
-
-
-# ---------------------------------------------------------------------------
-# Principal values
-# ---------------------------------------------------------------------------
-
-def pv_integral(kernel: str, beta: float, x: float) -> float:
-    """Principal value of a singular kernel integral over [-beta, beta].
-
-    kernel "chebyshev": p.v. of 1/(sqrt(beta^2-y^2)(x-y)); the exact value
-    is zero, and it is computed here (not asserted) by subtracting the
-    constant 1/sqrt(beta^2-x^2), whose principal value against 1/(x-y) is
-    log((beta+x)/(beta-x)), and integrating the rationalized remainder.
-
-    kernel "full": p.v. of sqrt((1-y^2)/(beta^2-y^2))/(x-y); the
-    value-matched multiple sqrt(1-x^2) of the Chebyshev kernel (principal
-    value zero) is subtracted, and the remainder is regular:
-
-        (x + y) / (sqrt(beta^2-y^2) (sqrt(1-y^2) + sqrt(1-x^2))).
-
-    Both remainders lose the endpoint singularity under y = beta sin(theta).
-    """
-    if not (0.0 < beta < 1.0):
-        raise DomainError(f"beta={beta!r} outside (0, 1)")
-    if not (-beta < x < beta):
-        raise DomainError(f"x={x!r} outside the open interval (-{beta}, {beta})")
-    theta, w = gl_map(-0.5 * math.pi, 0.5 * math.pi, 128)
-    y = beta * np.sin(theta)
-    rx = math.sqrt(beta * beta - x * x)
-    if kernel == "chebyshev":
-        # p.v. int dy/(sqrt(beta^2-y^2)(x-y))
-        #   = log((beta+x)/(beta-x))/rx - int (x+y) dtheta / (rx (beta cos + rx))
-        singular = math.log((beta + x) / (beta - x)) / rx
-        smooth = np.sum(w * (x + y) / (rx * (beta * np.cos(theta) + rx)))
-        return float(singular - smooth)
-    if kernel == "full":
-        s1x = math.sqrt(1.0 - x * x)
-        return float(np.sum(w * (x + y) / (np.sqrt(1.0 - y * y) + s1x)))
-    raise DomainError(f"unknown kernel {kernel!r}")
 
 
 # ---------------------------------------------------------------------------

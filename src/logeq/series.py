@@ -10,8 +10,8 @@ read it, `omega` does not.
 
 Coefficients come from Miller's backward run of their three-term
 recurrence, normalised by the closed forms of c_0 and c_1; direct
-quadrature of the defining integral gates those two closed forms and is
-the in-package reference for every c_k.
+quadrature of the defining integral is the in-package reference for
+every c_k.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ from ._quad import gl_map, graded_rule
 from .equilibrium import Regime, classify_regime, support
 from .errors import ConsistencyError, DomainError
 from .specfun import _theta_nodes, complete_E
-
-# Relative tolerance at which a closed-form coefficient is declared
-# inconsistent with its defining integral.
-_COEFF_RTOL = 1e-8
 
 # Longest backward run c_recurrence takes on.  omega_series needs ~40 000
 # steps at its term budget; a loose tolerance at large tau would ask for
@@ -97,45 +93,7 @@ def c_quadrature(beta: float, k: int) -> float:
     return float(np.sum(w * np.sqrt(1.0 - (beta * s) ** 2) * s ** k))
 
 
-def check_initial_coeff(beta: float, k: int, value: float) -> float:
-    """Gate a closed-form coefficient value against direct quadrature.
-
-    Returns the value if it matches c_quadrature(beta, k) to relative
-    1e-8, otherwise raises ConsistencyError.  This is the guard that keeps
-    a wrong closed form (for instance a mistranscribed c_1) out of the
-    series machinery.
-    """
-    ref = c_quadrature(beta, k)
-    if abs(value - ref) > _COEFF_RTOL * max(1.0, abs(ref)):
-        raise ConsistencyError(
-            f"closed-form c_{k}({beta!r}) = {value!r} disagrees with its "
-            f"defining integral {ref!r}")
-    return value
-
-
-def c_init(beta: float, kc: float, tau: float) -> tuple[float, float]:
-    """Closed forms for c_0 and c_1, each gated against quadrature.
-
-    Requires tau and beta to describe the same equilibrium, i.e.
-    E(beta) = 1 + 1/tau within 1e-9; kc = sqrt(1 - beta^2) is its
-    `Support.kc`.  Note the logarithm coefficient in c_1 is kc^2/(4 beta):
-    the 1/4 is forced by the beta -> 0 limit c_1 -> 1.
-    """
-    if not (0.0 < beta < 1.0):
-        raise DomainError(f"beta={beta!r} outside (0, 1)")
-    if abs(complete_E(beta) - (1.0 + 1.0 / tau)) > 1e-9:
-        raise DomainError(
-            f"tau={tau!r} and beta={beta!r} are inconsistent: "
-            f"E(beta)={complete_E(beta)!r} != 1 + 1/tau = {1.0 + 1.0 / tau!r}")
-    c0 = complete_E(beta)
-    # log((1+b)/(1-b)) = 2 atanh(b), |1/4 coefficient| -> 1/2 atanh prefactor.
-    c1 = 0.5 + kc * kc / (2.0 * beta) * math.atanh(beta)
-    for k, val in ((0, c0), (1, c1)):
-        check_initial_coeff(beta, k, val)
-    return c0, c1
-
-
-def c_recurrence(beta: float, kc: float, tau: float, K: int) -> CoeffTable:
+def c_recurrence(beta: float, kc: float, K: int) -> CoeffTable:
     """Coefficient table c_0..c_K by Miller's backward recurrence.
 
     c_k is the minimal solution of
@@ -155,12 +113,17 @@ def c_recurrence(beta: float, kc: float, tau: float, K: int) -> CoeffTable:
     three-term form loses up to 1e-11 relative (tau = 100).  Each parity
     chain starts from c_{N+2} = 0, c_N = 1 at an N where the other solution
     has fallen below 1e-17 of c_k for every k <= K, and is scaled by its
-    first entry from c_init: c_0 = E(beta) and the closed c_1.  A run
-    longer than 100 000 steps (beta near 1) raises DomainError.
+    first entry: c_0 = E(beta) and c_1 = 1/2 + kc^2/(2 beta) atanh(beta),
+    the coefficient kc^2/(4 beta) of log((1 + beta)/(1 - beta)) forced by
+    the limit c_1 -> 1 as beta -> 0.  kc is the `Support.kc` of beta:
+    DomainError unless 0 < beta < 1 and beta^2 + kc^2 = 1 within 1e-15, as
+    `Support` checks, and for a run longer than 100 000 steps (beta near 1).
     """
     if K < 3:
         raise DomainError(f"K={K!r} must be at least 3")
-    c0, c1 = c_init(beta, kc, tau)
+    if not (0.0 < beta < 1.0 and abs(beta ** 2 + kc ** 2 - 1.0) <= 1e-15):
+        raise DomainError(f"beta={beta!r}, kc={kc!r} is no two-cut endpoint: "
+                          "0 < beta < 1 and beta^2 + kc^2 = 1")
     n = K + 40 + math.ceil(math.log(1e-17) / math.log(beta))
     if n > _RECURRENCE_MAX_STEPS:
         raise DomainError(
@@ -173,8 +136,8 @@ def c_recurrence(beta: float, kc: float, tau: float, K: int) -> CoeffTable:
         d[k - 2] = (kc2 * c[k] + b2 * (k + 3) * d[k]) / (k - 1)
         c[k - 2] = c[k] + d[k - 2]
     values = np.array(c[:K + 1])
-    values[0::2] *= c0 / values[0]
-    values[1::2] *= c1 / values[1]
+    values[0::2] *= complete_E(beta) / values[0]
+    values[1::2] *= (0.5 + kc2 / (2.0 * beta) * math.atanh(beta)) / values[1]
     return CoeffTable(beta=beta, values=values, K=K)
 
 
@@ -214,7 +177,7 @@ def omega_series(tau: float, tol: float) -> SeriesResult:
         raise DomainError(
             f"omega_series needs ~{k_max} terms at tau={tau!r} (beta^2={b2!r}), "
             f"over its budget of {_SERIES_MAX_TERMS}; use omega_integral")
-    c = c_recurrence(beta, kc, tau, 2 * k_max).values
+    c = c_recurrence(beta, kc, 2 * k_max).values
     total = _series_prefactor(beta, kc, tau)
     pw = 1.0
     for k in range(1, k_max + 1):

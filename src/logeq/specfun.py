@@ -1,13 +1,14 @@
 """Complete elliptic integrals and related special values.
 
 Everything here is hand-rolled from provably convergent schemes: the
-arithmetic-geometric mean for K and E, one graded rule in theta for the
+arithmetic-geometric mean for E, one graded rule in theta for the
 integrals of sqrt(1 - k^2 sin^2 theta) (`theta_rule`, which the two-cut
 Cauchy transform and equilibrium constant use too), the two-parameter
 integral I(a, k) by that rule (at complex a too, for the two-cut
-Cauchy transform), and a cached Chebyshev interpolant of I(., k) over the
-support range of a.  The modulus convention is used throughout: the `k`
-arguments below multiply sin^2 inside the square root as k^2.
+Cauchy transform; K(k) is I(0, k)), and a cached Chebyshev interpolant
+of I(., k) over the support range of a.  The modulus convention is used
+throughout: the `k` arguments below multiply sin^2 inside the square
+root as k^2.
 """
 
 from __future__ import annotations
@@ -23,24 +24,6 @@ from .errors import DomainError
 
 # AGM converges quadratically; 64 iterations is far beyond what doubles need.
 _AGM_MAX_ITER = 64
-
-
-def complete_K(k: float) -> float:
-    """Complete elliptic integral of the first kind.
-
-    K(k) = ∫_0^{π/2} (1 - k² sin²θ)^{-1/2} dθ, computed as
-    π / (2 agm(1, √(1-k²))) for the modulus 0 <= k < 1 - 1e-12: closer to
-    1, the rounding of 1 - k² sets K's error.  Two-cut code reads
-    `integral_I(0, k, kc)`, from the complementary modulus, instead.
-    """
-    if not (0.0 <= k < 1.0 - 1e-12):
-        raise DomainError(f"complete_K requires 0 <= k < 1 - 1e-12, got {k!r}")
-    a, b = 1.0, math.sqrt(1.0 - k * k)
-    for _ in range(_AGM_MAX_ITER):
-        if abs(a - b) <= 2e-16 * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
 
 
 def complete_E(k: float) -> float:

@@ -2,8 +2,8 @@
 
 The oracle routines deliberately avoid the closed forms they are meant to
 check, so most tests here are cross-route: quadrature against closed form,
-principal values against their algebraic reductions, the discrete
-minimizer against known constants.  Values marked "frozen" come from
+a principal value taken here against its reduction to integral_I, the
+discrete minimizer against known constants.  Values marked "frozen" come from
 one-off adaptive quadrature (scipy.integrate.quad at rtol 1e-12) and were
 pasted in as literals.
 """
@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from logeq._quad import gl_map
 from logeq.equilibrium import (
     TAU_CRITICAL,
     Regime,
@@ -34,7 +35,6 @@ from logeq.oracle import (
     discrete_minimize,
     measure_quadrature,
     potential_quad,
-    pv_integral,
     verify,
 )
 from logeq.specfun import integral_I
@@ -51,12 +51,14 @@ V_ATT_17 = -0.49178076865289017  # outside, x = 1.7
 # Principal values
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("beta", [0.2, BETA2, 0.8])
-def test_pv_chebyshev_kernel_is_zero(beta):
-    # the exact principal value is 0 for every x in the open gap; the
-    # computed value is a pure cancellation test of the quadrature
-    for x in np.linspace(-beta, beta, 22)[1:-1]:
-        assert abs(pv_integral("chebyshev", beta, float(x))) <= 5e-12
+def _pv_full(beta, x):
+    # p.v. of sqrt((1-y^2)/(beta^2-y^2))/(x-y) over [-beta, beta]: less the
+    # value-matched sqrt(1-x^2) times the Chebyshev kernel, whose principal
+    # value is 0, the remainder (x+y)/(sqrt(beta^2-y^2)(sqrt(1-y^2) + sqrt(1-x^2)))
+    # is regular, and y = beta sin(theta) takes its endpoint singularity.
+    theta, w = gl_map(-0.5 * math.pi, 0.5 * math.pi, 128)
+    y = beta * np.sin(theta)
+    return float(np.sum(w * (x + y) / (np.sqrt(1.0 - y * y) + math.sqrt(1.0 - x * x))))
 
 
 @pytest.mark.parametrize("beta", [0.2, BETA2, 0.8])
@@ -65,18 +67,7 @@ def test_pv_full_kernel_reduction(beta):
     for x in np.linspace(-beta, beta, 22)[1:-1]:
         x = float(x)
         expected = 2.0 * x * integral_I(math.sqrt(1.0 - x * x), beta, math.sqrt(1.0 - beta * beta))
-        assert abs(pv_integral("full", beta, x) - expected) <= 1e-9
-
-
-def test_pv_domain_errors():
-    with pytest.raises(DomainError):
-        pv_integral("full", 0.5, 0.5)  # x on the edge is not interior
-    with pytest.raises(DomainError):
-        pv_integral("full", 0.5, -0.7)
-    with pytest.raises(DomainError):
-        pv_integral("full", 1.0, 0.1)
-    with pytest.raises(DomainError):
-        pv_integral("sine", 0.5, 0.1)
+        assert abs(_pv_full(beta, x) - expected) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

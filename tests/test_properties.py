@@ -9,7 +9,9 @@ the whole call raise DomainError, and that a scalar comes back as a Python
 float or complex.  The quadrature potential takes up to 300 points on and
 off the cuts, across its chunks and blocks.  Over tau they check that the
 measure has unit mass, that omega is continuous where its formula changes,
-and that its two two-cut routes agree from the critical tau to 1e14.
+that its two two-cut routes agree from the critical tau to 1e14, and that
+the free energy has a third-order transition where the gap opens and a
+fourth-order one where the hard edges turn soft.
 """
 
 import math
@@ -232,6 +234,42 @@ def test_omega_less_tau_times_its_slope_is_the_robin_constant(tau):
     e = 2e-15 * max(1.0, abs(w), abs(right), abs(left))
     bound = delta ** 2 * 2.0 / 6.0 + e * (1.0 + 1.0 / delta)
     assert abs(w - tau * (right - left) / (2.0 * h) - robin) <= bound
+
+
+# One-sided 4-point rules at the end of a row of step h: coefficients, divisor
+# and the power of h in the error, for the first to third derivative.
+_ONE_SIDED = {1: ((-11.0, 18.0, -9.0, 2.0), 6.0, 3),
+              2: ((2.0, -5.0, 4.0, -1.0), 1.0, 2),
+              3: ((-1.0, 3.0, -3.0, 1.0), 1.0, 1)}
+
+
+def _free_energy_jump(tau0, m):
+    """The jump across tau0 of the (m + 1)-th derivative of the free energy F,
+    from F' = 2 m_1, m_1 = int V dmu_tau, by the one-sided rule of the m-th
+    derivative on each side, Richardson-extrapolated from h = 1e-2 and 5e-3."""
+    coeffs, div, p = _ONE_SIDED[m]
+
+    def side(s, h):
+        return sum(c * 2.0 * measure_quadrature(tau0 + s * i * h, lebesgue_potential)
+                   for i, c in enumerate(coeffs)) / (div * (s * h) ** m)
+
+    coarse, fine = (side(1.0, h) - side(-1.0, h) for h in (1e-2, 5e-3))
+    return (2 ** p * fine - coarse) / (2 ** p - 1)
+
+
+def test_the_transitions_are_of_third_and_fourth_order():
+    # F = min over mu of the energy plus 2 tau int V dmu, so F' = 2 m_1, and
+    # by the identity above F - tau F' + tau^2 F''/2 = L, so F''' = 2 L'/tau^2.
+    # Where the gap opens L' jumps from 0 to 4/(pi tau_c^2): F''' jumps by
+    # 8/(pi tau_c^4) = 0.2703, F'' does not.  Where the hard edges turn soft
+    # L' is 0 on both sides and L'' jumps by -1: F'''' jumps by -2, F''' does
+    # not.  Measured: 0.270311 and -1.989 (the bounds are 1% and 2%), and
+    # 7e-10 for F'' at tau_c and 3e-5 for F''' at -1 (bounds 1e-6 and 1e-3).
+    third = 8.0 / (math.pi * TAU_CRITICAL ** 4)
+    assert abs(_free_energy_jump(TAU_CRITICAL, 1)) <= 1e-6
+    assert abs(_free_energy_jump(TAU_CRITICAL, 2) - third) <= 0.01 * third
+    assert abs(_free_energy_jump(-1.0, 2)) <= 1e-3
+    assert abs(_free_energy_jump(-1.0, 3) + 2.0) <= 0.02 * 2.0
 
 
 # beta^2 = 0.9 (tau ~ 9.55), inside the two-cut range, where one formula

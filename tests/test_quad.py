@@ -148,7 +148,6 @@ for tau in (-3.0, 0.4, 3.5):
     logeq.verify(tau)
 logeq.report(5.0)
 logeq.c_quadrature(0.5, 300)
-logeq.pv_integral("full", 0.5, 0.1)
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["beta", "--tau", "3"], ["omega", "--tau", "5", "--method", "series"],
                  ["density", "--tau", "3", "--n", "201"],

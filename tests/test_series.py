@@ -17,14 +17,11 @@ from logeq.oracle import measure_quadrature
 from logeq.series import (
     CoeffTable,
     SeriesResult,
-    c_init,
     c_quadrature,
     c_recurrence,
-    check_initial_coeff,
     omega_integral,
     omega_series,
 )
-from logeq.specfun import complete_E
 
 BETA2 = 0.41729943021563737  # frozen: endpoint for tau = 2
 OMEGA2 = 2.0728047758011234  # frozen: equilibrium constant at tau = 2
@@ -119,18 +116,13 @@ def _kc(beta: float) -> float:
     return math.sqrt((1.0 - beta) * (1.0 + beta))
 
 
-def _tau_for(beta: float) -> float:
-    """The tau whose two-cut endpoint is the given beta."""
-    return 1.0 / (complete_E(beta) - 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Coefficient routes
 # ---------------------------------------------------------------------------
 
 def test_frozen_coefficient_anchors():
     assert abs(solve_beta_repulsive(2.0)[0] - BETA2) <= 1e-13
-    table = c_recurrence(BETA2, _kc(BETA2), 2.0, 60).values
+    table = c_recurrence(BETA2, _kc(BETA2), 60).values
     for k, ref in CK_REFS.items():
         assert abs(table[k] - ref) <= 5e-13 * abs(ref)
         assert abs(c_quadrature(BETA2, k) - ref) <= 5e-13 * abs(ref)
@@ -140,7 +132,7 @@ def test_three_routes_agree():
     # backward recurrence vs direct quadrature, every k up to 60 at the
     # tau = 2 endpoint, both against frozen 30-digit values at the anchors
     # (test_frozen_coefficient_anchors) and beyond (CK_MP)
-    table = c_recurrence(BETA2, _kc(BETA2), 2.0, 60)
+    table = c_recurrence(BETA2, _kc(BETA2), 60)
     for k in range(61):
         quad = c_quadrature(BETA2, k)
         assert abs(table.values[k] - quad) <= 1e-12 * quad
@@ -149,53 +141,59 @@ def test_three_routes_agree():
 @pytest.mark.parametrize("beta", sorted(CK_MP))
 def test_recurrence_against_frozen_references(beta):
     refs = CK_MP[beta]
-    table = c_recurrence(beta, _kc(beta), _tau_for(beta), max(refs)).values
+    table = c_recurrence(beta, _kc(beta), max(refs)).values
     for k, ref in refs.items():
         assert abs(table[k] - ref) <= 2e-14 * ref, k
 
 
 def test_quadrature_large_k():
     # both quadrature orders (128 for k <= 200, 256 above)
-    table = c_recurrence(BETA2, _kc(BETA2), 2.0, 250).values
+    table = c_recurrence(BETA2, _kc(BETA2), 250).values
     for k, ref in CK_LARGE_K.items():
         assert abs(c_quadrature(BETA2, k) - ref) <= 1e-10 * ref
         assert abs(table[k] - ref) <= 2e-14 * ref
 
 
-def test_initial_coeff_gate_accepts_correct_c1():
-    b2 = BETA2 * BETA2
-    correct = 0.5 + (1.0 - b2) / (2.0 * BETA2) * math.atanh(BETA2)
-    assert check_initial_coeff(BETA2, 1, correct) == correct
+# Frozen c_0 = E(beta) and c_1 to 30 digits: mpmath at 40 digits of
+# mpmath.ellipe and of 1/2 + (1 - beta^2)/(2 beta) atanh(beta), each equal to
+# mp.quad of its defining integral, at the double betas below.
+C01_MP = {
+    1e-06: (1.57079632679450392014962289389, 0.99999999999966666666666660003),
+    0.05: (1.56981411841638802551666756763, 0.999166249552950400659096857596),
+    0.417: (1.50010530229556424436850832907, 0.939854606879446106758692963148),
+    0.9: (1.1716970527816141138287335939, 0.65540094612267322231245481902),
+    0.99: (1.02847580902880402187065612479, 0.526600193437378150236824290908),
+    0.999: (1.00399440996550782077695779985, 0.503802103169836414277206432455),
+}
+
+
+def test_closed_forms_of_c0_and_c1_against_frozen_references():
+    # c_recurrence scales its two parity chains by these closed forms; both
+    # are within 4.5e-16 relative of the references and of c_quadrature
+    for beta, refs in C01_MP.items():
+        table = c_recurrence(beta, _kc(beta), 3).values
+        for k, ref in enumerate(refs):
+            assert abs(table[k] - ref) <= 1e-15 * ref, (beta, k)
+            assert abs(c_quadrature(beta, k) - ref) <= 1e-15 * ref, (beta, k)
 
 
 def test_initial_coeff_gate_rejects_doubled_log_coefficient():
     # The tempting wrong form carries (1 - beta^2)/(2 beta) in front of the
     # full log((1+b)/(1-b)) = 2 atanh(b), i.e. twice the correct slope; at
-    # this beta it is off by ~29 percent and the quadrature gate must say so.
-    b2 = BETA2 * BETA2
+    # this beta it is off the defining integral by ~29 percent, where the
+    # closed form that c_recurrence takes is within rounding of it.
+    b2, ref = BETA2 * BETA2, c_quadrature(BETA2, 1)
     wrong = 0.5 + (1.0 - b2) / BETA2 * math.atanh(BETA2)
     correct = 0.5 + (1.0 - b2) / (2.0 * BETA2) * math.atanh(BETA2)
-    assert abs(wrong - correct) / correct > 0.25
-    with pytest.raises(ConsistencyError):
-        check_initial_coeff(BETA2, 1, wrong)
-
-
-def test_c_init_values_and_validation():
-    c0, c1 = c_init(BETA2, _kc(BETA2), 2.0)
-    assert c0 == complete_E(BETA2)
-    assert abs(c0 - 1.5) <= 1e-9  # endpoint equation E(beta) = 1 + 1/tau
-    assert abs(c1 - CK_REFS[1]) <= 1e-12
-    with pytest.raises(DomainError):
-        c_init(1.2, 0.0, 2.0)
-    with pytest.raises(DomainError):
-        c_init(0.3, _kc(0.3), 2.0)  # E(0.3) != 1.5: pair describes no equilibrium
+    assert abs(wrong - ref) / ref > 0.25
+    assert abs(correct - ref) <= 2e-16 * ref
 
 
 def test_c2_stable_at_tiny_beta():
     # A forward run of the recurrence would divide by beta^2 = 1e-12 here;
     # the backward run is as accurate as anywhere.  Limit c_2(0) = pi/4.
     beta = 1e-6
-    c2 = c_recurrence(beta, _kc(beta), _tau_for(beta), 40).values[2]
+    c2 = c_recurrence(beta, _kc(beta), 40).values[2]
     assert abs(c2 - 0.25 * math.pi) <= 1e-10
 
 
@@ -203,14 +201,14 @@ def test_recurrence_fallback_table_is_correct():
     # At beta = 0.05 a forward run of the recurrence would amplify roundoff
     # by ~400x per step; run backward every entry has to come out right.
     beta = 0.05
-    table = c_recurrence(beta, _kc(beta), _tau_for(beta), 40)
+    table = c_recurrence(beta, _kc(beta), 40)
     for k in range(41):
         quad = c_quadrature(beta, k)
         assert abs(table.values[k] - quad) <= 1e-12 * quad
 
 
 def test_coeff_table_validation():
-    good = c_recurrence(BETA2, _kc(BETA2), 2.0, 12)
+    good = c_recurrence(BETA2, _kc(BETA2), 12)
     assert good.K == 12 and len(good.values) == 13
     v = good.values.copy()
     with pytest.raises(ConsistencyError):
@@ -237,9 +235,14 @@ def test_quadrature_domain_errors():
     with pytest.raises(DomainError):
         c_quadrature(0.5, -1)
     with pytest.raises(DomainError):
-        c_recurrence(BETA2, _kc(BETA2), 2.0, 2)
+        c_recurrence(BETA2, _kc(BETA2), 2)
+    # (beta, kc) must be a two-cut endpoint: 0 < beta < 1, beta^2 + kc^2 = 1
+    for beta, kc in ((1.2, 0.0), (0.0, 1.0), (0.3, 0.9), (0.3, math.nan),
+                     (BETA2, _kc(BETA2) * (1.0 + 4e-15))):
+        with pytest.raises(DomainError):
+            c_recurrence(beta, kc, 10)
     with pytest.raises(DomainError, match="use c_quadrature"):
-        c_recurrence(0.99999, _kc(0.99999), _tau_for(0.99999), 10)  # ~3.9e6 steps
+        c_recurrence(0.99999, _kc(0.99999), 10)  # ~3.9e6 steps
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from logeq.equilibrium import TAU_CRITICAL, cauchy, density, omega, support
 from logeq.errors import DomainError
 from logeq.series import _outer_rule
 from logeq.specfun import (_cache_line_rows, _cheb_cosines, _theta_table, complete_E,
-                           complete_K, integral_I, integral_I_cheb, theta_rule)
+                           integral_I, integral_I_cheb, theta_rule)
 
 BETA2 = 0.41729943021563715
 
@@ -24,10 +24,15 @@ def _kc(k):
     # takes with it
     return math.sqrt((1.0 - k) * (1.0 + k))
 
+
+def _K(k, kc=None):
+    # K(k) = I(0, k), the way two-cut code reads it
+    return integral_I(0.0, k, _kc(k) if kc is None else kc)
+
 # oracle: mpmath.ellipk / mpmath.ellipe with parameter m = k**2, dps=30.
 # The last row sits so close to the logarithmic singularity of K that the
-# float rounding of 1 - k^2 alone moves K by ~1e-12 relative; its tolerance
-# reflects that conditioning, not the algorithm.
+# float rounding of 1 - k^2 alone would move K by ~1e-12 relative; I(0, k)
+# takes kc from (1 - k)(1 + k) instead, and is within 2e-16 of every row.
 ELLIPTIC_REFS = [
     (0.1, 1.574745561517356, 1.5668619420216683, 5e-15),
     (BETA2, 1.6468148148111827, 1.5, 5e-15),
@@ -39,12 +44,12 @@ ELLIPTIC_REFS = [
 
 @pytest.mark.parametrize("k,ref_K,ref_E,rtol", ELLIPTIC_REFS)
 def test_complete_K_E_reference(k, ref_K, ref_E, rtol):
-    assert abs(complete_K(k) - ref_K) <= rtol * ref_K
+    assert abs(_K(k) - ref_K) <= rtol * ref_K
     assert abs(complete_E(k) - ref_E) <= rtol * ref_E
 
 
 def test_complete_KE_limits():
-    assert abs(complete_K(0.0) - math.pi / 2) <= 1e-15
+    assert abs(_K(0.0) - math.pi / 2) <= 1e-15
     assert abs(complete_E(0.0) - math.pi / 2) <= 1e-15
     assert abs(complete_E(1.0) - 1.0) <= 1e-15
 
@@ -54,8 +59,8 @@ def test_legendre_relation():
     # a parameter-free identity tying both integrals together.
     for k in np.linspace(0.01, 0.99, 50):
         kp = math.sqrt(1.0 - k * k)
-        lhs = (complete_E(k) * complete_K(kp) + complete_E(kp) * complete_K(k)
-               - complete_K(k) * complete_K(kp))
+        K, Kp = _K(k, kp), _K(kp, k)
+        lhs = complete_E(k) * Kp + complete_E(kp) * K - K * Kp
         assert abs(lhs - math.pi / 2) <= 5e-14
 
 
@@ -142,7 +147,7 @@ def test_integral_I_limits():
     # a -> 0 turns the integrand into 1/sqrt(1 - k^2 sin^2 t), so the value
     # approaches K(k) from below.
     k = 0.6
-    assert abs(integral_I(1e-14, k, 0.8) - complete_K(k)) <= 1e-9
+    assert 0.0 < _K(k, 0.8) - integral_I(1e-14, k, 0.8) <= 1e-9
     # huge a: a * integral -> pi/2 with an O(1/a) defect
     assert abs(1e6 * integral_I(1e6, k, 0.8) - 0.5 * math.pi) <= 2e-6
 
