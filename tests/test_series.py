@@ -22,6 +22,7 @@ from logeq.series import (
     omega_integral,
     omega_series,
 )
+from logeq.specfun import complete_E
 
 BETA2 = 0.41729943021563737  # frozen: endpoint for tau = 2
 OMEGA2 = 2.0728047758011234  # frozen: equilibrium constant at tau = 2
@@ -175,6 +176,29 @@ def test_closed_forms_of_c0_and_c1_against_frozen_references():
         for k, ref in enumerate(refs):
             assert abs(table[k] - ref) <= 1e-15 * ref, (beta, k)
             assert abs(c_quadrature(beta, k) - ref) <= 1e-15 * ref, (beta, k)
+
+
+def test_initial_coeff_gate_accepts_correct_c1():
+    # c_recurrence scales its odd chain by the correct closed form of c_1
+    # (kc^2 in place of 1 - beta^2, a rounding apart), which agrees with the
+    # defining integral as tightly as test_closed_forms_of_c0_and_c1_... asks
+    b2, ref = BETA2 * BETA2, c_quadrature(BETA2, 1)
+    correct = 0.5 + (1.0 - b2) / (2.0 * BETA2) * math.atanh(BETA2)
+    c1 = c_recurrence(BETA2, _kc(BETA2), 3).values[1]
+    assert abs(c1 - correct) <= 2e-16 * correct
+    assert abs(c1 - ref) <= 1e-15 * ref
+
+
+def test_c_init_values_and_validation():
+    table = c_recurrence(BETA2, _kc(BETA2), 3).values
+    c0, c1 = table[0], table[1]
+    assert c0 == complete_E(BETA2)
+    assert abs(c0 - 1.5) <= 1e-9  # endpoint equation E(beta) = 1 + 1/tau
+    assert abs(c1 - CK_REFS[1]) <= 1e-12
+    with pytest.raises(DomainError):
+        c_recurrence(1.2, 0.0, 3)
+    with pytest.raises(DomainError):
+        c_recurrence(0.3, 0.9, 3)  # 0.3^2 + 0.9^2 != 1: no two-cut endpoint
 
 
 def test_initial_coeff_gate_rejects_doubled_log_coefficient():
