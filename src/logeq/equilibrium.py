@@ -530,12 +530,18 @@ def _g_function(tau: float, sup: Support, z):
         return ((1.0 + tau) * np.log(0.5 * (z + _sqrt_cut_arr(z, 1.0)))
                 - tau * _lebesgue_g(z))
     if sup.regime is Regime.ATTRACTIVE:
+        # (1 + tau) log((z + r)/2) - tau log((r + zs)/(1 + s)) cancels two
+        # terms of size tau; with 1 - s = -1/tau and z - r = beta^2/(z + r)
+        # it is log((z + r)/2) + tau log1p(d), d as below, s = k'.  numpy's
+        # complex log1p drops Re log1p(d) at |d| ~ 1e-19: it is taken as
+        # log|1 + d|, from 2a + a^2 + b^2, d = a + ib.  beta^2/tau would
+        # underflow past tau ~ -1e200, where |z| ~ beta keeps tau d ~ 1.
         beta, s = sup.beta, sup.kc
         r = _sqrt_cut_arr(z, beta)
-        return (z * _cauchy_attractive(tau, beta, z)
-                + (1.0 + tau) * np.log(0.5 * (z + r))
-                - tau * np.log((r + z * s) / (1.0 + s))
-                - 1.0)
+        d = -(beta / (z + r)) * (beta / (r + z * s)) / (2.0 * tau)
+        a, b = d.real, d.imag
+        log1p_d = 0.5 * np.log1p(a * (2.0 + a) + b * b) + 1j * np.arctan2(b, 1.0 + a)
+        return z * _cauchy_attractive(tau, beta, z) + np.log(0.5 * (z + r)) + tau * log1p_d - 1.0
     raise DomainError("no closed-form g-function in the repulsive regime")
 
 

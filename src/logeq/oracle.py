@@ -172,15 +172,18 @@ def measure_quadrature(tau: float, f=None) -> complex | float:
 
     f is a vectorized callable of a real ndarray (default: constant 1, so
     the result is the total mass).  Each support piece is split at its
-    midpoint into two edge rules (_unit_row), in every regime, with 64 nodes
-    per panel: the outer panel spans 3/4 of a half-piece, and f may vary
-    there (1/(z - x) at 0.05 from the cut is good to ~1e-14).  The density
-    depends on an edge only through |edge| (the measure is even): it is
-    taken once per |edge|, f at every node.
+    midpoint into two edge rules (_unit_row) of 64-node panels, halving once
+    more than potential_quad's (_edge_halvings), at most _RUNGS times: 128
+    nodes per half-piece at every tau but next to -1 and just above the
+    critical tau, up to 704.  The outer panel spans 3/4 of a half-piece, and
+    f may vary there: 1/(z - x) at 0.1 from the cut is good to ~1e-14, at
+    0.05 to ~1e-7.  The density depends on an edge only through |edge| (the
+    measure is even): it is taken once per |edge|, f at every node.
     """
     if f is None:
         f = lambda x: np.ones_like(x)
-    sup, (off, w) = support(tau), _unit_row(0, 64)
+    sup = support(tau)
+    off, w = _unit_row(0, 64, min(_RUNGS, _edge_halvings(sup) + 1))
     total, x_off, x_w = 0.0, sup.half_length * off, sup.half_length * w
     moduli = {abs(edge) for piece in sup.pieces for edge in piece}
     rho = {a: _density_offset(tau, a, x_off) for a in moduli}
@@ -279,26 +282,26 @@ def _graded_groups(span, target):
         yield rows, s * r, s * w, h * (w_in * np.log(h) + v_in)
 
 
-def _edge_panel_sums(tau: float, edge: float, s: float, h: float, pos, y) -> np.ndarray:
-    """Quadrature of log|z - x| over the innermost panel of an edge rule,
-    x = edge + s t^2 for t in [0, h], for points z = edge + pos + i y off
-    the piece within h^2 of the edge, where the kernel is singular at
-    |t| = sqrt|z - edge|: panels halve toward t = 0 down to that distance,
-    and a point on the edge takes log t^2 by product weights.  h is no
-    wider than the density's edge layer (_edge_halvings), or it is the
-    narrowest panel, so 2t rho(t^2) is smooth in t on [0, h]: h^2 is
-    L 2^-_RUNGS at every tau but next to -1 and just above the critical
-    tau, down to L 2^-30 there."""
+def _edge_panel_rule(s: float, h: float, pos, y):
+    """Rules for the innermost panel of an edge rule, x = edge + s t^2 for t
+    in [0, h], for points z = edge + pos + i y off the piece within h^2 of
+    the edge, as groups (point, offsets, weights) of one depth each with
+    2t log|z - x| folded in.  The kernel is singular at |t| = sqrt|z - edge|:
+    panels halve toward t = 0 down to that distance, and a point on the edge
+    takes log t^2 by product weights.  h is no wider than the density's edge
+    layer (_edge_halvings), or it is the narrowest panel, so 2t rho(t^2) is
+    smooth in t on [0, h]: h^2 is L 2^-_RUNGS at every tau but next to -1
+    and just above the critical tau, down to L 2^-30 there."""
     dist = np.hypot(pos, y)
-    at_edge, out = dist == 0.0, np.empty(dist.shape)
+    at_edge, groups = dist == 0.0, []
     # a point on the edge needs no halving: the product weights take it
     for rows, t, w, w_log in _graded_groups(np.full(dist.shape, h),
                                             np.sqrt(np.where(at_edge, h * h, dist))):
         off = t * t
         w *= np.log(np.hypot(s * off - pos[rows, None], y[rows, None]))
         w[:, :_LOG_ORDER] = np.where(at_edge[rows, None], 2.0 * w_log, w[:, :_LOG_ORDER])
-        out[rows] = np.sum(2.0 * t * w * _density_offset(tau, edge, off), axis=-1)
-    return out
+        groups.append((rows, off, 2.0 * t * w))
+    return groups
 
 
 def _span_rule(half: float, delta, j, y):
@@ -360,16 +363,17 @@ def _log_kernel_sums(tau: float, sup: Support, z: np.ndarray) -> np.ndarray:
     rung j with L 2^-j <= delta/2 < L 2^(1-j), leaves out D_j, D_(j-1),
     D_(j-2) and (j <= 2) the far edge's D_1 for _span_rule, so that every
     panel it keeps lies at least half its length away; past rung _RUNGS it
-    takes the row of its rung for the nearer edge, with the same halvings,
-    through the same kernel.  A point off the piece within the innermost
-    edge panel, L 2^-_RUNGS 4^-halvings from an edge, trades that panel for
-    its own graded rule (_edge_panel_sums).  The density depends on an edge
-    only through |edge|: one call per |edge| serves rows and spans.  On two
-    cuts, a point past the midpoint of a piece lies w - (1 - |x|) from its
-    inner edge (_beyond_beta), and spans are laid out in the width w of the
-    piece from kc: the double beta misses the inner edge by up to half an
-    ulp.  Every rule a point takes is its own, so its sum does not depend on
-    the other points of its block."""
+    trades the nearer edge's row for the row of its rung less those panels.
+    A point off the piece within the innermost edge panel, L 2^-_RUNGS
+    4^-halvings from an edge, trades that panel for _edge_panel_rule.  Each
+    private rule is a group (points, offsets, weights), log|z - x| folded
+    in.  The density depends on an edge only through |edge|: one call per
+    |edge| serves its row and all their groups, and one np.bincount adds up
+    the groups.  On two cuts, a point past the midpoint of a piece lies
+    w - (1 - |x|) from its inner edge (_beyond_beta), and spans are laid out
+    in the width w of the piece from kc: the double beta misses the inner
+    edge by up to half an ulp.  Every rule a point takes is its own, so its
+    sum does not depend on the other points of its block."""
     if z.size > _BLOCK:
         return np.concatenate([_log_kernel_sums(tau, sup, z[i:i + _BLOCK])
                                for i in range(0, z.size, _BLOCK)])
@@ -400,21 +404,26 @@ def _log_kernel_sums(tau: float, sup: Support, z: np.ndarray) -> np.ndarray:
     near_cut = np.where(j > _RUNGS, [[0], [size]], (start, start + 16 * np.minimum(j, 3)))
     far_cut = np.where(j <= 2, [[size - 16], [size]], 0)
     cut = np.zeros((2, len(rows), 2 * m), int)  # nodes left out: (start, stop), row, point
-    total, spans, yy = np.zeros(m), [], np.concatenate((y, y))
+    yy, folded, points, sums = np.concatenate((y, y)), [], [np.zeros(0, int)], [np.zeros(0)]
     for p, (e, s) in enumerate(rows):
         near = upper == (e == hi)
         cut[:, p, on] = np.where(near, near_cut, far_cut)
-        spans.append((on[near], delta[near], j[near]))
+        flat, j_near = on[near], j[near]
+        idx = flat % m
+        groups = [(idx[k], off, w) for k, off, w in _span_rule(half, delta[near], j_near, y[idx])]
+        # past rung _RUNGS, the row of the point's rung, less D_rung .. D_(rung-2)
+        for rung in np.flatnonzero(np.bincount(j_near[j_near > _RUNGS])):
+            row, w_row = _unit_row(int(rung), halvings=halvings)
+            d_rung = row.size - 16 * rung  # D_rung starts after the edge rule
+            row, w_row = (half * np.delete(a, np.s_[d_rung:d_rung + 48]) for a in (row, w_row))
+            k = np.flatnonzero(j_near == rung)
+            groups.append((idx[k], row, w_row * np.log(
+                np.hypot(s * row - pos[p, flat[k], None], y[idx[k], None]))))
         close = np.flatnonzero((np.hypot(pos[p], yy) < h * h) & ~inside)
         if close.size:
             cut[1, p, close] = 16
-            np.add.at(total, close % m, _edge_panel_sums(tau, e, s, h, pos[p, close], yy[close]))
-    unit = 2.0 ** math.ceil(math.log2(hi))  # the outer edge, rounded up to a power of two
-    folded, points, sums = [], [np.zeros(0, int)], [np.zeros(0)]
-    for p, (e, s) in enumerate(rows):
-        flat, delta, j = spans[p]
-        idx = flat % m
-        groups = _span_rule(half, delta, j, y[idx])
+            groups += [(close[k] % m, off, w)
+                       for k, off, w in _edge_panel_rule(s, h, pos[p, close], yy[close])]
         rho = _density_offset(tau, e, np.concatenate(
             [half * off_unit] + [off.ravel() for _, off, _ in groups]))
         folded.append(half * w_unit * rho[:size])
@@ -422,23 +431,13 @@ def _log_kernel_sums(tau: float, sup: Support, z: np.ndarray) -> np.ndarray:
         for k, off, w in groups:
             w *= rho[end:end + off.size].reshape(off.shape)
             end += off.size
-            points.append(idx[k])
+            points.append(k)
             sums.append(w.sum(axis=-1))
-        # past rung _RUNGS, the row of the point's rung, less D_rung .. D_(rung-2)
-        for rung in np.flatnonzero(np.bincount(j[j > _RUNGS])):
-            row, w_row = _unit_row(int(rung), halvings=halvings)
-            start = row.size - 16 * rung  # D_rung starts after the edge rule
-            row, w_row = half * row, half * w_row
-            w_row *= _density_offset(tau, e, row)
-            k = j == rung
-            skip = np.broadcast_to(np.array([start, start + 48])[:, None, None, None],
-                                   (2, 1, 1, k.sum()))
-            total[idx[k]] += _edge_sums((s * row)[None], w_row[None], pos[p, flat[k]][None, None],
-                                        y[idx[k]], skip, unit)
-    total += np.bincount(np.concatenate(points), np.concatenate(sums), minlength=m)
+    unit = 2.0 ** math.ceil(math.log2(hi))  # the outer edge, rounded up to a power of two
     off = np.array([s for _, s in rows])[:, None] * (half * off_unit)
-    return total + _edge_sums(off, np.stack(folded), pos.reshape(len(rows), 2, m), y,
-                              cut.reshape(2, len(rows), 2, m), unit)
+    return (np.bincount(np.concatenate(points), np.concatenate(sums), minlength=m)
+            + _edge_sums(off, np.stack(folded), pos.reshape(len(rows), 2, m), y,
+                         cut.reshape(2, len(rows), 2, m), unit))
 
 
 def potential_quad(tau: float, z):

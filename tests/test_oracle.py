@@ -31,6 +31,7 @@ from logeq.oracle import (
     DiscreteSolution,
     GridMeasure,
     VerificationReport,
+    _edge_halvings,
     _support_grid,
     discrete_minimize,
     measure_quadrature,
@@ -108,14 +109,34 @@ def test_measure_quadrature_takes_the_density_once_per_edge_modulus(monkeypatch,
     assert len(edges) == calls
 
 
-@pytest.mark.parametrize("tau", [-5.0, -2.0, -1.0, 0.0, 1.0, 1.75, 2.0, 10.0])
+@pytest.mark.parametrize("tau", [-5.0, -2.0, -1.0, 0.0, 1.0, 1.75, 2.0, 10.0,
+                                 -1.0 - 1e-6, -1.001, TAU_CRITICAL + 1e-12, TAU_CRITICAL + 1e-3])
 def test_measure_quadrature_close_to_the_cut(tau):
-    # one edge-segment rule in every regime: f = 1/(z - x) at 0.05 to 0.1
-    # from the cut is integrated to the accuracy of the closed form
+    # one edge-segment rule in every regime, halving toward the edge as far
+    # as the density's edge layer asks (the last four taus lie next to -1
+    # and the critical tau; the layer is thin at all but tau_c + 1e-3):
+    # f = 1/(z - x) at 0.05 to 0.1 from the cut is integrated to the
+    # accuracy of the closed form
     lo, hi = support(tau).pieces[-1]
     for z in (0.5 * (lo + hi) + 0.1j, lo + 0.3 * (hi - lo) + 0.1j, 0.05j, hi + 0.1):
         direct = complex(measure_quadrature(tau, lambda x: 1.0 / (z - x)))
         assert abs(cauchy(tau, z) - direct) <= 1e-13 * abs(direct), z
+
+
+@pytest.mark.parametrize("tau, nodes", [(-2.0, 128), (0.5, 128), (3.0, 128), (1e5, 128),
+                                        (-1.001, 512), (-1.0 - 1e-6, 704)])
+def test_measure_quadrature_nodes_per_half_piece(monkeypatch, tau, nodes):
+    # 64-node panels halving one more time toward the edge than the edge rule
+    # of potential_quad (_edge_halvings), up to 10 times: 128 nodes per
+    # half-piece where that rule takes no halving
+    import logeq.oracle as oracle_mod
+    sizes = []
+    real = oracle_mod._density_offset
+    monkeypatch.setattr(oracle_mod, "_density_offset",
+                        lambda tau, edge, off: sizes.append(off.size) or real(tau, edge, off))
+    measure_quadrature(tau)
+    assert set(sizes) == {nodes}
+    assert (_edge_halvings(support(tau)) == 0) == (nodes == 128)
 
 
 @pytest.mark.parametrize("tau", [-2.0, 0.0, 2.0])

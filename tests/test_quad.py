@@ -230,10 +230,18 @@ def test_edge_rule_halves_where_the_edge_layer_is_thin(tau):
 
 
 def _probe_points(tau):
+    # on both sides of each piece's midpoint, a point of every private rule
+    # of _log_kernel_sums: spans, the graded panel of a point off the piece
+    # inside the innermost edge panel (within L 2^-10 of the edge), and the
+    # row of a point's own rung past rung 10, also off the axis
     pieces = support(tau).pieces
     pts = []
     for lo, hi in pieces:
-        pts += [lo + 1e-10, hi - 1e-10, lo + 0.31 * (hi - lo), lo - 1e-10, hi + 1e-10]
+        half, turn = 0.5 * (hi - lo), np.exp(0.3j)
+        pts += [lo + 1e-10, hi - 1e-10, lo + 0.31 * (hi - lo), lo - 1e-10, hi + 1e-10,
+                hi - 0.27 * (hi - lo) + 1e-3j,
+                lo - 2e-4 * half * turn, hi + 2e-4 * half / turn,
+                lo + 1e-9 * half + 1e-12j, hi - 1e-9 * half - 1e-12j]
     if len(pieces) == 2:
         beta = pieces[1][0]
         pts += [0.0, 0.5 * beta, -0.9 * beta]
